@@ -24,7 +24,7 @@ from .explorer import (
     differential_check,
     reachable_set,
 )
-from .models import Configuration, MinskyConfig, validate
+from .models import Configuration, Diagnostic, MinskyConfig, validate
 from .formats import (
     ParseError,
     parse_model_file,
@@ -66,6 +66,7 @@ def _add_bounds_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="global budget on distinct configurations (default 10^6, or PRVASS_MAX_VISITED)",
     )
+    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored: the search is serial")
 
 
 def _bounds_from(args) -> Bounds:
@@ -79,14 +80,20 @@ def _read(path: str) -> str:
 
 
 def _load_validated(path: str):
-    mf = parse_model_file(_read(path))
-    model = mf.machine if mf.kind == "minsky" else mf.system
-    diags = validate(model)
+    """Parse and validate a model file; returns it with its text, which trace digests hash."""
+    text = _read(path)
+    mf = parse_model_file(text)
+    if mf.kind == "minsky":
+        diags = validate(mf.machine)
+    else:
+        diags = validate(mf.system)
+        if mf.init is not None and mf.init not in mf.system.states:
+            diags.append(Diagnostic("init", f"unknown initial state {mf.init!r}"))
     if diags:
         for d in diags:
             print(f"error: {d}", file=sys.stderr)
         raise _UsageError(f"{path}: {len(diags)} validation diagnostic(s)")
-    return mf
+    return mf, text
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -98,7 +105,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def cmd_compile(args) -> int:
-    mf = _load_validated(args.machine)
+    mf, _ = _load_validated(args.machine)
     if mf.kind != "minsky":
         raise _UsageError(f"{args.machine}: compile expects a minsky file")
     compiled = compile_machine(mf.machine)
@@ -126,22 +133,13 @@ def cmd_compile(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    text = _read(args.system)
-    mf = parse_model_file(text)
+    mf, text = _load_validated(args.system)
     if mf.kind != "prvass":
         raise _UsageError(f"{args.system}: cover expects a prvass file")
-    diags = validate(mf.system)
-    if diags:
-        for d in diags:
-            print(f"error: {d}", file=sys.stderr)
-        raise _UsageError(f"{args.system}: {len(diags)} validation diagnostic(s)")
     start_state = args.start if args.start is not None else mf.init
     if start_state is None:
         raise _UsageError("no --start given and the file declares no init state")
-    bounds = _bounds_from(args)
-    verdict = bounded_cover(
-        mf.system, Configuration(start_state, (), 0), args.target, bounds, threads=args.threads
-    )
+    verdict = bounded_cover(mf.system, Configuration(start_state, (), 0), args.target, _bounds_from(args))
     token = _VERDICT_TOKEN[verdict.outcome]
     if args.trace_out and verdict.trace is not None:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
@@ -169,7 +167,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    mf = _load_validated(args.model)
+    mf, _ = _load_validated(args.model)
     bounds = _bounds_from(args)
     if mf.kind == "prvass":
         state = args.state if args.state is not None else mf.init
@@ -177,12 +175,12 @@ def cmd_simulate(args) -> int:
             raise _UsageError("no --state given and the file declares no init state")
         stack = tuple(s for s in args.stack.split(",") if s) if args.stack else ()
         start = Configuration(state, stack, args.counter)
-        reach = reachable_set(mf.system, start, bounds, threads=args.threads)
+        reach = reachable_set(mf.system, start, bounds)
     else:
         state = args.state if args.state is not None else mf.machine.source
         n0, n1 = (int(x) for x in args.counters.split(","))
         start = MinskyConfig(state, (n0, n1))
-        reach = reachable_set(mf.machine, start, bounds, threads=args.threads)
+        reach = reachable_set(mf.machine, start, bounds)
     states_seen = len({c.state for c in reach.configs})
     payload = {
         "command": "simulate",
@@ -226,12 +224,11 @@ def cmd_prop1(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    mf = _load_validated(args.machine)
+    mf, _ = _load_validated(args.machine)
     if mf.kind != "minsky":
         raise _UsageError(f"{args.machine}: diff expects a minsky file")
-    b_prvass = _bounds_from(args)
-    b_minsky = Bounds(b_prvass.max_steps, b_prvass.max_stack, b_prvass.max_counter, b_prvass.max_visited)
-    report = differential_check(mf.machine, b_minsky, b_prvass, threads=args.threads)
+    bounds = _bounds_from(args)
+    report = differential_check(mf.machine, bounds, bounds)
     mv = _VERDICT_TOKEN[report.minsky_verdict.outcome]
     pv = _VERDICT_TOKEN[report.prvass_verdict.outcome]
     payload = {
@@ -274,7 +271,6 @@ def build_parser() -> _Parser:
     p.add_argument("--target", required=True, help="state to cover")
     p.add_argument("--expect", choices=("covered", "no-cover"), default="covered")
     p.add_argument("--trace-out", default=None, help="write the covering trace to this file")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     _add_bounds_args(p)
     p.set_defaults(func=cmd_cover)
@@ -285,7 +281,6 @@ def build_parser() -> _Parser:
     p.add_argument("--stack", default="", help="comma-separated start stack, bottom first (prvass)")
     p.add_argument("--counter", type=int, default=0, help="start counter (prvass)")
     p.add_argument("--counters", default="0,0", help="start counters n0,n1 (minsky)")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     _add_bounds_args(p)
     p.set_defaults(func=cmd_simulate)
@@ -298,7 +293,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("diff", help="differential check: machine reachability vs compiled coverability")
     p.add_argument("machine", help="minsky file")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     _add_bounds_args(p)
     p.set_defaults(func=cmd_diff)

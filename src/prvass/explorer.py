@@ -12,8 +12,8 @@ count and results deterministic.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .models import (
@@ -78,71 +78,6 @@ class Verdict:
     stats: SearchStats
 
 
-def _bfs(start, expand, is_target, prune, bounds: Bounds, check, threads: int):
-    """Layered BFS core shared by all searches.
-
-    expand(cfg) yields (action, successor) pairs in a deterministic order;
-    layers may be expanded by a thread pool, but successors are merged in
-    (predecessor, action) order, so results never depend on thread count.
-    check, when given, is called on every dequeued configuration.
-    """
-    t0 = time.perf_counter()
-    parents: dict = {start: None}
-    layer = [start]
-    pruned = False
-    frontier_peak = 1
-    depth = 0
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while layer:
-            for cfg in layer:
-                if check is not None:
-                    check(cfg)
-                if is_target(cfg):
-                    steps = []
-                    cur = cfg
-                    while parents[cur] is not None:
-                        prev, action = parents[cur]
-                        steps.append((action, cur))
-                        cur = prev
-                    steps.reverse()
-                    stats = SearchStats(len(parents), frontier_peak, time.perf_counter() - t0)
-                    return COVERED, Trace(start, tuple(steps)), stats
-            if depth == 0 and prune(start):
-                # the start configuration itself violates a cap: nothing can
-                # be expanded honestly
-                pruned = True
-                break
-            if depth >= bounds.max_steps:
-                pruned = True
-                break
-            if pool is not None:
-                expansions = list(pool.map(expand, layer))
-            else:
-                expansions = [expand(cfg) for cfg in layer]
-            next_layer = []
-            for cfg, succs in zip(layer, expansions):
-                for action, succ in succs:
-                    if succ in parents:
-                        continue
-                    if prune(succ):
-                        pruned = True
-                        continue
-                    if len(parents) >= bounds.max_visited:
-                        pruned = True
-                        continue
-                    parents[succ] = (cfg, action)
-                    next_layer.append(succ)
-            depth += 1
-            frontier_peak = max(frontier_peak, len(next_layer))
-            layer = next_layer
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
-    stats = SearchStats(len(parents), frontier_peak, time.perf_counter() - t0)
-    return (BOUNDS_HIT if pruned else EXHAUSTED_NO_COVER), None, stats
-
-
 def _prvass_expander(sys: Prvass):
     interned: dict = {}
 
@@ -158,13 +93,93 @@ def _prvass_expander(sys: Prvass):
     return expand
 
 
+def _family(model: Prvass | MinskyMachine, start, b: Bounds):
+    """The (expand, prune) pair of the model's family; the one place the search dispatches on it.
+
+    expand(cfg) yields (action, successor) pairs in action declaration
+    order.  A start stack holding a symbol outside the alphabet is rejected
+    here, in one pass over the start stack.
+    """
+    if isinstance(model, Prvass):
+        alphabet = set(model.stack_alphabet)
+        for symbol in start.stack:
+            if symbol not in alphabet:
+                raise ValueError(f"start stack symbol {symbol!r} not in the stack alphabet")
+
+        def prune(cfg):
+            return len(cfg.stack) > b.max_stack or cfg.counter > b.max_counter
+
+        return _prvass_expander(model), prune
+
+    def prune(cfg):
+        return cfg.counters[0] > b.max_counter or cfg.counters[1] > b.max_counter
+
+    return partial(minsky_successors, model), prune
+
+
+def _bfs(model, start, b: Bounds, is_target, check=None, target: str | None = None) -> Verdict:
+    """Layered breadth-first search core shared by all searches.
+
+    The target state, when one is named, and the start state must be
+    declared by the model.  check, when given, is called on every dequeued
+    configuration.  The layer at depth max_steps is expanded only to learn
+    whether a successor would be dropped; none of its successors is visited.
+    """
+    states = set(model.states)
+    for what, state in (("target", target), ("start", start.state)):
+        if state is not None and state not in states:
+            raise ValueError(f"{what} state {state!r} not in the system")
+    expand, prune = _family(model, start, b)
+    t0 = time.perf_counter()
+    parents: dict = {start: None}
+    layer = [start]
+    pruned = False
+    frontier_peak = 1
+    depth = 0
+    while layer:
+        for cfg in layer:
+            if check is not None:
+                check(cfg)
+            if is_target(cfg):
+                steps = []
+                cur = cfg
+                while parents[cur] is not None:
+                    prev, action = parents[cur]
+                    steps.append((action, cur))
+                    cur = prev
+                steps.reverse()
+                stats = SearchStats(len(parents), frontier_peak, time.perf_counter() - t0)
+                return Verdict(COVERED, Trace(start, tuple(steps)), stats)
+        if depth == 0 and prune(start):
+            # the start configuration itself violates a cap: nothing can
+            # be expanded honestly
+            pruned = True
+            break
+        if depth >= b.max_steps:
+            pruned = any(succ not in parents for cfg in layer for _, succ in expand(cfg))
+            break
+        next_layer = []
+        for cfg in layer:
+            for action, succ in expand(cfg):
+                if succ in parents:
+                    continue
+                if prune(succ):
+                    pruned = True
+                    continue
+                if len(parents) >= b.max_visited:
+                    pruned = True
+                    continue
+                parents[succ] = (cfg, action)
+                next_layer.append(succ)
+        depth += 1
+        frontier_peak = max(frontier_peak, len(next_layer))
+        layer = next_layer
+    stats = SearchStats(len(parents), frontier_peak, time.perf_counter() - t0)
+    return Verdict(BOUNDS_HIT if pruned else EXHAUSTED_NO_COVER, None, stats)
+
+
 def bounded_cover(
-    sys: Prvass,
-    start: Configuration,
-    target: str,
-    b: Bounds,
-    check: Callable | None = None,
-    threads: int = 1,
+    sys: Prvass, start: Configuration, target: str, b: Bounds, check: Callable | None = None
 ) -> Verdict:
     """Breadth-first coverability: is any configuration with the target state reachable?
 
@@ -172,37 +187,15 @@ def bounded_cover(
     configuration is dequeued, exhausted_no_cover only when the full
     reachable set within bounds was enumerated without pruning, and
     bounds_hit otherwise.  Identical inputs give identical verdicts and
-    traces regardless of the thread count.
+    traces.  check, when given, sees every dequeued configuration.
     """
-    state_set = set(sys.states)
-    if target not in state_set:
-        raise ValueError(f"target state {target!r} not in the system")
-    if start.state not in state_set:
-        raise ValueError(f"start state {start.state!r} not in the system")
-
-    def prune(cfg):
-        return len(cfg.stack) > b.max_stack or cfg.counter > b.max_counter
-
-    outcome, trace, stats = _bfs(
-        start, _prvass_expander(sys), lambda c: c.state == target, prune, b, check, threads
-    )
-    return Verdict(outcome, trace, stats)
+    return _bfs(sys, start, b, lambda c: c.state == target, check, target)
 
 
-def minsky_bounded_reach(
-    m: MinskyMachine, b: Bounds, check: Callable | None = None, threads: int = 1
-) -> Verdict:
+def minsky_bounded_reach(m: MinskyMachine, b: Bounds) -> Verdict:
     """Bounded search for the exact configuration (target, 0, 0) from (source, 0, 0)."""
-    start = MinskyConfig(m.source, (0, 0))
     goal = MinskyConfig(m.target, (0, 0))
-
-    def prune(cfg):
-        return cfg.counters[0] > b.max_counter or cfg.counters[1] > b.max_counter
-
-    outcome, trace, stats = _bfs(
-        start, lambda c: minsky_successors(m, c), lambda c: c == goal, prune, b, check, threads
-    )
-    return Verdict(outcome, trace, stats)
+    return _bfs(m, MinskyConfig(m.source, (0, 0)), b, lambda c: c == goal, target=m.target)
 
 
 @dataclass(frozen=True)
@@ -214,40 +207,15 @@ class ReachableSet:
     stats: SearchStats
 
 
-def reachable_set(
-    sys: Prvass | MinskyMachine,
-    start,
-    b: Bounds,
-    check: Callable | None = None,
-    threads: int = 1,
-) -> ReachableSet:
+def reachable_set(sys: Prvass | MinskyMachine, start, b: Bounds) -> ReachableSet:
     """Enumerate every configuration reachable within bounds.
 
     complete is True only when the closure finished without any pruning
     event, i.e. the returned tuple really is the whole reachable set.
     """
-    if isinstance(sys, Prvass):
-        expand = _prvass_expander(sys)
-
-        def prune(cfg):
-            return len(cfg.stack) > b.max_stack or cfg.counter > b.max_counter
-
-    else:
-        def expand(cfg):
-            return minsky_successors(sys, cfg)
-
-        def prune(cfg):
-            return cfg.counters[0] > b.max_counter or cfg.counters[1] > b.max_counter
-
-    seen = []
-
-    def record(cfg):
-        seen.append(cfg)
-        if check is not None:
-            check(cfg)
-
-    outcome, _, stats = _bfs(start, expand, lambda c: False, prune, b, record, threads)
-    return ReachableSet(tuple(seen), outcome == EXHAUSTED_NO_COVER, stats)
+    seen: list = []
+    verdict = _bfs(sys, start, b, lambda c: False, seen.append)
+    return ReachableSet(tuple(seen), verdict.outcome == EXHAUSTED_NO_COVER, verdict.stats)
 
 
 def replay_trace(sys: Prvass | MinskyMachine, tr: Trace) -> bool:
@@ -290,20 +258,14 @@ class DifferentialReport:
     compiled: object
 
 
-def differential_check(
-    m: MinskyMachine, b_minsky: Bounds, b_prvass: Bounds, threads: int = 1
-) -> DifferentialReport:
+def differential_check(m: MinskyMachine, b_minsky: Bounds, b_prvass: Bounds) -> DifferentialReport:
     """Run both sides of the reduction and compare the verdicts."""
     from .reduction import compile_machine
 
     compiled = compile_machine(m)
-    mv = minsky_bounded_reach(m, b_minsky, threads=threads)
+    mv = minsky_bounded_reach(m, b_minsky)
     pv = bounded_cover(
-        compiled.system,
-        Configuration(compiled.start, (), 0),
-        compiled.cover_target,
-        b_prvass,
-        threads=threads,
+        compiled.system, Configuration(compiled.start, (), 0), compiled.cover_target, b_prvass
     )
     if mv.outcome == BOUNDS_HIT or pv.outcome == BOUNDS_HIT:
         status = "inconclusive"

@@ -135,13 +135,16 @@ def _parse_prvass_body(lines) -> tuple[Prvass, str | None]:
     lineno, stack = _key_line(lines, "stack")
     stack = tuple(_check_token(s, lineno, " ".join(stack), "stack symbol") for s in stack)
     init = None
+    init_line = None
     actions = []
     for lineno, line in lines:
         if line.strip().startswith("init:"):
+            if init_line is not None:
+                raise ParseError(lineno, 1, f"repeated 'init:' line (first on line {init_line})")
             tokens = line.strip()[5:].split()
             if len(tokens) != 1:
                 raise ParseError(lineno, 1, "expected exactly one initial state")
-            init = tokens[0]
+            init, init_line = tokens[0], lineno
             continue
         m = _ACTION_LINE.match(line)
         if not m:

@@ -153,3 +153,38 @@ def test_missing_file_exits_three(workdir):
 def test_usage_error_exits_three():
     assert main(["cover"]) == 3
     assert main(["frobnicate"]) == 3
+
+
+def test_simulate_start_state_outside_the_model_exits_three(workdir, capsys):
+    assert main(["simulate", str(workdir / "inc-dec.minsky"), "--state", "nosuch"]) == 3
+    system = _compile(workdir, "inc-dec")
+    assert main(["simulate", str(system), "--state", "nosuch"]) == 3
+    assert "COMPLETE" not in capsys.readouterr().out
+
+
+def test_simulate_start_stack_outside_the_alphabet_exits_three(workdir, capsys):
+    system = _compile(workdir, "inc-dec")
+    capsys.readouterr()
+    assert main(["simulate", str(system), "--stack", "zzz,qq"]) == 3
+    captured = capsys.readouterr()
+    assert "REACHABLE" not in captured.out
+    assert "zzz" in captured.err
+
+
+@pytest.mark.parametrize(
+    "init_lines",
+    ["init: nosuch\n", "init: s'\ninit: s'\n"],
+    ids=["undeclared", "repeated"],
+)
+def test_bad_init_line_exits_three_from_every_command(workdir, capsys, init_lines):
+    system = _compile(workdir, "inc-dec")
+    text = system.read_text().replace("init: s'\n", init_lines)
+    assert init_lines in text
+    bad = workdir / "bad-init.prvass"
+    bad.write_text(text)
+    assert main(["simulate", str(bad)]) == 3
+    assert main(["cover", str(bad), "--target", "t'"]) == 3
+    assert main(["cover", str(bad), "--start", "s'", "--target", "t'"]) == 3
+    assert main(["compile", str(bad), str(workdir / "out.prvass")]) == 3
+    assert main(["diff", str(bad)]) == 3
+    assert "VERDICT" not in capsys.readouterr().out

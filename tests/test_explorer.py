@@ -70,6 +70,23 @@ def test_unknown_target_is_a_precondition_error():
         bounded_cover(sys, Configuration("s", (), 0), "missing", GENEROUS)
 
 
+@pytest.mark.parametrize(
+    "start",
+    [Configuration("missing", (), 0), Configuration("s", ("a", "zz"), 0)],
+)
+def test_start_outside_the_model_is_a_precondition_error(start):
+    sys = Prvass(("s",), ("a",), ())
+    with pytest.raises(ValueError):
+        reachable_set(sys, start, GENEROUS)
+    with pytest.raises(ValueError):
+        bounded_cover(sys, start, "s", GENEROUS)
+
+
+def test_minsky_start_outside_the_model_is_a_precondition_error():
+    with pytest.raises(ValueError):
+        reachable_set(load_machine("inc-dec"), MinskyConfig("missing", (0, 0)), GENEROUS)
+
+
 def test_minsky_reach_examples():
     inc_dec = load_machine("inc-dec")
     assert minsky_bounded_reach(inc_dec, GENEROUS).outcome == COVERED
@@ -117,6 +134,16 @@ def test_depth_bound_downgrades_to_bounds_hit():
     assert hit.outcome == BOUNDS_HIT
 
 
+def test_depth_bound_needs_a_dropped_successor():
+    # the layer at the depth cap is expanded: u has no successor, so nothing
+    # was dropped and the search is exhaustive at any depth cap
+    sys = Prvass(("s", "u", "t"), ("a",), (Action("s", (INC,), "u"),))
+    for max_steps in (1, 2):
+        verdict = bounded_cover(sys, Configuration("s", (), 0), "t", Bounds(max_steps, 64, 100, 1000))
+        assert verdict.outcome == EXHAUSTED_NO_COVER
+        assert verdict.stats.visited == 2
+
+
 def test_stack_cap_downgrades_to_bounds_hit():
     sys = Prvass(("s", "t"), ("a",), (Action("s", (push("a"),), "s"),))
     verdict = bounded_cover(sys, Configuration("s", (), 0), "t", Bounds(10_000, 8, 100, 10_000))
@@ -145,13 +172,10 @@ def _strip_elapsed(verdict):
     return (verdict.outcome, verdict.trace, verdict.stats.visited, verdict.stats.frontier_peak)
 
 
-def test_search_is_deterministic_and_thread_independent():
+def test_search_is_deterministic():
     compiled = compile_machine(load_machine("swap"))
     start = Configuration(compiled.start, (), 0)
-    runs = [
-        bounded_cover(compiled.system, start, compiled.cover_target, GENEROUS, threads=k)
-        for k in (1, 1, 3)
-    ]
+    runs = [bounded_cover(compiled.system, start, compiled.cover_target, GENEROUS) for _ in range(3)]
     assert _strip_elapsed(runs[0]) == _strip_elapsed(runs[1]) == _strip_elapsed(runs[2])
 
 

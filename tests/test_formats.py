@@ -103,6 +103,13 @@ def test_prvass_model_file_round_trip_keeps_init():
     assert serialize_model_file(mf) == PRVASS_TEXT
 
 
+def test_parse_prvass_rejects_repeated_init_with_its_line():
+    with pytest.raises(ParseError) as exc:
+        parse_model_file(PRVASS_TEXT + "init: q2\n")
+    assert exc.value.line == 7
+    assert "line 4" in str(exc.value)
+
+
 def test_parse_prvass_rejects_unknown_instruction():
     with pytest.raises(ParseError) as exc:
         parse_prvass(PRVASS_TEXT.replace("inc, inc", "inc, warp"))
