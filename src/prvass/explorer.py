@@ -93,13 +93,19 @@ def _prvass_expander(sys: Prvass):
     return expand
 
 
-def _family(model: Prvass | MinskyMachine, start, b: Bounds):
+def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None = None):
     """The (expand, prune) pair of the model's family; the one place the search dispatches on it.
 
     expand(cfg) yields (action, successor) pairs in action declaration
-    order.  A start stack holding a symbol outside the alphabet is rejected
-    here, in one pass over the start stack.
+    order.  It is also the one place that checks the search's inputs belong
+    to the model: the start state and the target state, when one is named,
+    must be declared, and every start stack symbol must be in the alphabet
+    (one pass over the start stack, never one per expansion).
     """
+    states = set(model.states)
+    for what, state in (("target", target), ("start", start.state)):
+        if state is not None and state not in states:
+            raise ValueError(f"{what} state {state!r} not in the system")
     if isinstance(model, Prvass):
         alphabet = set(model.stack_alphabet)
         for symbol in start.stack:
@@ -117,19 +123,14 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds):
     return partial(minsky_successors, model), prune
 
 
-def _bfs(model, start, b: Bounds, is_target, check=None, target: str | None = None) -> Verdict:
+def _bfs(start, b: Bounds, expand, prune, is_target, check=None) -> Verdict:
     """Layered breadth-first search core shared by all searches.
 
-    The target state, when one is named, and the start state must be
-    declared by the model.  check, when given, is called on every dequeued
-    configuration.  The layer at depth max_steps is expanded only to learn
-    whether a successor would be dropped; none of its successors is visited.
+    expand and prune come from _family.  check, when given, is called on
+    every dequeued configuration.  The layer at depth max_steps is expanded
+    only to learn whether a successor would be dropped; none of its
+    successors is visited.
     """
-    states = set(model.states)
-    for what, state in (("target", target), ("start", start.state)):
-        if state is not None and state not in states:
-            raise ValueError(f"{what} state {state!r} not in the system")
-    expand, prune = _family(model, start, b)
     t0 = time.perf_counter()
     parents: dict = {start: None}
     layer = [start]
@@ -156,7 +157,8 @@ def _bfs(model, start, b: Bounds, is_target, check=None, target: str | None = No
             pruned = True
             break
         if depth >= b.max_steps:
-            pruned = any(succ not in parents for cfg in layer for _, succ in expand(cfg))
+            # an earlier drop already forbids an exhaustion claim
+            pruned = pruned or any(succ not in parents for cfg in layer for _, succ in expand(cfg))
             break
         next_layer = []
         for cfg in layer:
@@ -189,13 +191,15 @@ def bounded_cover(
     bounds_hit otherwise.  Identical inputs give identical verdicts and
     traces.  check, when given, sees every dequeued configuration.
     """
-    return _bfs(sys, start, b, lambda c: c.state == target, check, target)
+    expand, prune = _family(sys, start, b, target)
+    return _bfs(start, b, expand, prune, lambda c: c.state == target, check)
 
 
 def minsky_bounded_reach(m: MinskyMachine, b: Bounds) -> Verdict:
     """Bounded search for the exact configuration (target, 0, 0) from (source, 0, 0)."""
-    goal = MinskyConfig(m.target, (0, 0))
-    return _bfs(m, MinskyConfig(m.source, (0, 0)), b, lambda c: c == goal, target=m.target)
+    start, goal = MinskyConfig(m.source, (0, 0)), MinskyConfig(m.target, (0, 0))
+    expand, prune = _family(m, start, b, m.target)
+    return _bfs(start, b, expand, prune, lambda c: c == goal)
 
 
 @dataclass(frozen=True)
@@ -214,7 +218,8 @@ def reachable_set(sys: Prvass | MinskyMachine, start, b: Bounds) -> ReachableSet
     event, i.e. the returned tuple really is the whole reachable set.
     """
     seen: list = []
-    verdict = _bfs(sys, start, b, lambda c: False, seen.append)
+    expand, prune = _family(sys, start, b)
+    verdict = _bfs(start, b, expand, prune, lambda c: False, seen.append)
     return ReachableSet(tuple(seen), verdict.outcome == EXHAUSTED_NO_COVER, verdict.stats)
 
 

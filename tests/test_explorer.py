@@ -144,6 +144,22 @@ def test_depth_bound_needs_a_dropped_successor():
         assert verdict.stats.visited == 2
 
 
+def test_depth_bound_keeps_an_earlier_drop():
+    # the counter cap drops t in layer 0; the last layer (u) is closed, but
+    # the earlier drop still forbids an exhaustion claim
+    sys = Prvass(
+        ("s", "u", "t"),
+        ("a",),
+        (Action("s", (INC, INC), "t"), Action("s", (INC,), "u")),
+    )
+    start = Configuration("s", (), 0)
+    b = Bounds(1, 64, 1, 1000)
+    assert bounded_cover(sys, start, "t", b).outcome == BOUNDS_HIT
+    closure = reachable_set(sys, start, b)
+    assert closure.configs == (start, Configuration("u", (), 1))
+    assert not closure.complete
+
+
 def test_stack_cap_downgrades_to_bounds_hit():
     sys = Prvass(("s", "t"), ("a",), (Action("s", (push("a"),), "s"),))
     verdict = bounded_cover(sys, Configuration("s", (), 0), "t", Bounds(10_000, 8, 100, 10_000))
