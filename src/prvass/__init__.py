@@ -41,7 +41,6 @@ from .relations import (
     is_strictly_monotone,
     minsky_action_to_symbol,
     parse_delta_token,
-    rel_apply,
     rel_spec,
     weak_member,
 )
@@ -54,8 +53,6 @@ from .reduction import (
     build_gadget,
     compile_machine,
     gadget_contract_set,
-    minsky_to_nfa,
-    nfa_accepts,
 )
 from .explorer import (
     BOUNDS_HIT,
@@ -76,11 +73,9 @@ from .formats import (
     ParseError,
     parse_minsky,
     parse_model_file,
-    parse_prvass,
     parse_trace,
     render_trace,
     serialize_minsky,
-    serialize_model_file,
     serialize_prvass,
 )
 

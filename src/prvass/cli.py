@@ -52,26 +52,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_max_visited() -> int:
-    return int(os.environ.get("PRVASS_MAX_VISITED", "1000000"))
-
-
 def _add_bounds_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-steps", type=int, default=1_000_000, help="search depth budget in action firings")
     parser.add_argument("--max-stack", type=int, default=64, help="stack length cap per configuration")
     parser.add_argument("--max-counter", type=int, default=10_000, help="counter cap per configuration")
-    parser.add_argument(
-        "--max-visited",
-        type=int,
-        default=None,
-        help="global budget on distinct configurations (default 10^6, or PRVASS_MAX_VISITED)",
-    )
+    parser.add_argument("--max-visited", type=int, default=1_000_000, help="global budget on distinct configurations")
     parser.add_argument("--threads", type=int, default=1, help="accepted and ignored: the search is serial")
 
 
 def _bounds_from(args) -> Bounds:
-    max_visited = args.max_visited if args.max_visited is not None else _default_max_visited()
-    return Bounds(args.max_steps, args.max_stack, args.max_counter, max_visited)
+    return Bounds(args.max_steps, args.max_stack, args.max_counter, args.max_visited)
 
 
 def _read(path: str) -> str:
@@ -132,6 +122,20 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
+def _claim_trace_path(path: str) -> bool:
+    """Check before the search that ``path`` can be written; return whether this made it.
+
+    A file already there is opened for appending, so it is neither truncated nor
+    removed unless a witness is written over it.
+    """
+    try:
+        open(path, "x", encoding="utf-8").close()
+        return True
+    except FileExistsError:
+        open(path, "a", encoding="utf-8").close()
+        return False
+
+
 def cmd_cover(args) -> int:
     mf, text = _load_validated(args.system)
     if mf.kind != "prvass":
@@ -139,11 +143,19 @@ def cmd_cover(args) -> int:
     start_state = args.start if args.start is not None else mf.init
     if start_state is None:
         raise _UsageError("no --start given and the file declares no init state")
-    verdict = bounded_cover(mf.system, Configuration(start_state, (), 0), args.target, _bounds_from(args))
-    token = _VERDICT_TOKEN[verdict.outcome]
-    if args.trace_out and verdict.trace is not None:
+    bounds = _bounds_from(args)
+    trace_created = _claim_trace_path(args.trace_out) if args.trace_out else False
+    witness = None
+    try:
+        verdict = bounded_cover(mf.system, Configuration(start_state, (), 0), args.target, bounds)
+        witness = verdict.trace
+    finally:
+        if witness is None and trace_created:
+            os.remove(args.trace_out)  # no witness: drop the empty file made above
+    if witness is not None and args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write(render_trace(verdict.trace, text))
+            fh.write(render_trace(witness, text))
+    token = _VERDICT_TOKEN[verdict.outcome]
     payload = {
         "command": "cover",
         "verdict": token,

@@ -63,15 +63,17 @@ def _significant_lines(text: str):
 
 def _check_token(token: str, lineno: int, line: str, what: str) -> str:
     if not _TOKEN.match(token):
-        raise ParseError(lineno, line.find(token) + 1, f"bad {what} token {token!r}")
+        column = line.find(token, line.index(":") + 1) + 1
+        raise ParseError(lineno, column, f"bad {what} token {token!r}")
     return token
 
 
 def _key_line(lines, key: str):
+    """The next line, which must be `key: tokens`; returns its number, its text and its tokens."""
     lineno, line = next(lines, (None, None))
     if line is None or not line.strip().startswith(key + ":"):
         raise ParseError(lineno or 0, 1, f"expected a {key!r} line")
-    return lineno, line.strip()[len(key) + 1 :].split()
+    return lineno, line, line.strip()[len(key) + 1 :].split()
 
 
 def parse_model_file(text: str) -> ModelFile:
@@ -82,20 +84,20 @@ def parse_model_file(text: str) -> ModelFile:
         raise ParseError(1, 1, "empty file: expected a kind line ('minsky' or 'prvass')")
     kind = line.strip()
     if kind == "minsky":
-        return ModelFile("minsky", machine=_parse_minsky_body(lines))
+        return ModelFile("minsky", machine=_parse_machine_body(lines))
     if kind == "prvass":
-        system, init = _parse_prvass_body(lines)
+        system, init = _parse_system_body(lines)
         return ModelFile("prvass", system=system, init=init)
     raise ParseError(lineno, 1, f"unknown model kind {kind!r} (expected 'minsky' or 'prvass')")
 
 
-def _parse_minsky_body(lines) -> MinskyMachine:
-    lineno, states = _key_line(lines, "states")
-    states = tuple(_check_token(s, lineno, " ".join(states), "state") for s in states)
-    lineno, init = _key_line(lines, "init")
+def _parse_machine_body(lines) -> MinskyMachine:
+    lineno, line, states = _key_line(lines, "states")
+    states = tuple(_check_token(s, lineno, line, "state") for s in states)
+    lineno, _, init = _key_line(lines, "init")
     if len(init) != 1:
         raise ParseError(lineno, 1, "expected exactly one initial state")
-    lineno, final = _key_line(lines, "final")
+    lineno, _, final = _key_line(lines, "final")
     if len(final) != 1:
         raise ParseError(lineno, 1, "expected exactly one final state")
     actions = []
@@ -129,11 +131,11 @@ def _parse_instruction(token: str, lineno: int, line: str) -> Instruction:
     raise ParseError(lineno, line.find(token) + 1, f"unknown instruction {token!r}")
 
 
-def _parse_prvass_body(lines) -> tuple[Prvass, str | None]:
-    lineno, states = _key_line(lines, "states")
-    states = tuple(_check_token(s, lineno, " ".join(states), "state") for s in states)
-    lineno, stack = _key_line(lines, "stack")
-    stack = tuple(_check_token(s, lineno, " ".join(stack), "stack symbol") for s in stack)
+def _parse_system_body(lines) -> tuple[Prvass, str | None]:
+    lineno, line, states = _key_line(lines, "states")
+    states = tuple(_check_token(s, lineno, line, "state") for s in states)
+    lineno, line, stack = _key_line(lines, "stack")
+    stack = tuple(_check_token(s, lineno, line, "stack symbol") for s in stack)
     init = None
     init_line = None
     actions = []
@@ -168,13 +170,6 @@ def parse_minsky(text: str) -> MinskyMachine:
     return mf.machine
 
 
-def parse_prvass(text: str) -> Prvass:
-    mf = parse_model_file(text)
-    if mf.kind != "prvass":
-        raise ParseError(1, 1, f"expected a prvass file, got kind {mf.kind!r}")
-    return mf.system
-
-
 def serialize_minsky(m: MinskyMachine) -> str:
     lines = [
         "minsky",
@@ -199,14 +194,6 @@ def serialize_prvass(sys: Prvass, init: str | None = None) -> str:
         rendered = ", ".join(str(i) for i in a.body)
         lines.append(f"{a.source} -> {a.target} :" + (f" {rendered}" if rendered else ""))
     return "\n".join(lines) + "\n"
-
-
-def serialize_model_file(mf: ModelFile) -> str:
-    if mf.kind == "minsky":
-        return serialize_minsky(mf.machine)
-    if mf.kind == "prvass":
-        return serialize_prvass(mf.system, mf.init)
-    raise ValueError(f"unknown model kind {mf.kind!r}")
 
 
 def system_digest(text: str) -> str:
@@ -240,10 +227,10 @@ def parse_trace(text: str) -> tuple[str, Trace]:
             raise ParseError(lineno, 1, "expected 'state<TAB>stack<TAB>counter'")
         state, stack_word, counter = cols
         try:
-            value = int(counter)
+            configs.append(Configuration(state, tuple(stack_word.split()), int(counter)))
         except ValueError:
-            raise ParseError(lineno, 1, f"counter is not an integer: {counter!r}") from None
-        configs.append(Configuration(state, tuple(stack_word.split()), value))
+            column = len(line) - len(counter) + 1
+            raise ParseError(lineno, column, f"counter is not a natural number: {counter!r}") from None
     if not configs:
         raise ParseError(2, 1, "trace has no configurations")
     return digest, Trace(configs[0], tuple((None, c) for c in configs[1:]))

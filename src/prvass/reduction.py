@@ -121,59 +121,18 @@ def build_gadget(sym: DeltaSymbol, direction: str, namer: Callable[[str], str]) 
 
 
 @dataclass(frozen=True)
-class NfaTransition:
-    source: str
-    symbol: DeltaSymbol
-    target: str
-
-
-@dataclass(frozen=True)
-class Nfa:
-    """A finite automaton over the six operation symbols."""
-
-    states: tuple[str, ...]
-    initial: str
-    final: str
-    transitions: tuple[NfaTransition, ...]
-
-
-def minsky_to_nfa(m: MinskyMachine) -> Nfa:
-    """View a machine as the automaton of its operation-symbol words.
-
-    Same state set, initial and final from the machine's source and target,
-    and one transition per action labelled with the symbol the action
-    performs on the counter-pair encoding.
-    """
-    transitions = tuple(
-        NfaTransition(a.source, minsky_action_to_symbol(a), a.target) for a in m.actions
-    )
-    return Nfa(m.states, m.source, m.target, transitions)
-
-
-def nfa_accepts(nfa: Nfa, word) -> bool:
-    """Whether the automaton accepts the given sequence of DeltaSymbols."""
-    current = {nfa.initial}
-    for sym in word:
-        current = {t.target for t in nfa.transitions if t.source in current and t.symbol == sym}
-        if not current:
-            return False
-    return nfa.final in current
-
-
-@dataclass(frozen=True)
 class CompiledSystem:
     """The compiled stack system plus the bookkeeping to read it back.
 
-    start has no incoming actions and cover_target no outgoing ones;
-    machine_states_image maps every machine state to its image in the
-    compiled control, and bookkeeping maps each glued gadget to the machine
-    action it simulates or, for the backward copies, to its symbol.
+    start has no incoming actions and cover_target no outgoing ones; every
+    machine state keeps its name in the compiled control, and bookkeeping
+    maps each glued gadget to the machine action it simulates or, for the
+    backward copies, to its symbol.
     """
 
     system: Prvass
     start: str
     cover_target: str
-    machine_states_image: dict
     bookkeeping: dict
 
 
@@ -183,11 +142,12 @@ def compile_machine(m: MinskyMachine) -> CompiledSystem:
     The compiled system reaches its cover target from (start, empty, 0) iff
     the machine reaches (target, 0, 0) from (source, 0, 0) -- subject, of
     course, to bounded search on both sides.  Structure: an initialization
-    action establishes encoding 1; each automaton transition is replaced by
-    a fresh forward gadget spliced in with empty-bodied glue actions; an
-    equals-one check guards entry to the replay state; one backward gadget
-    per operation symbol loops through the replay state; a final action
-    fires only on the exact stack bot hash a and empties it.
+    action establishes encoding 1; each machine action is replaced by a
+    fresh forward gadget for its operation symbol, spliced in with
+    empty-bodied glue actions; an equals-one check guards entry to the
+    replay state; one backward gadget per operation symbol loops through the
+    replay state; a final action fires only on the exact stack bot hash a
+    and empties it.
     """
     diags = validate(m)
     if diags:
@@ -205,50 +165,44 @@ def compile_machine(m: MinskyMachine) -> CompiledSystem:
     replay = fresh("b")
     cover = fresh("t'")
 
-    nfa = minsky_to_nfa(m)
     forward = []
-    for i, (tr, origin) in enumerate(zip(nfa.transitions, m.actions)):
-        prefix = f"a{i}"
-        gadget = build_gadget(
-            tr.symbol, FORWARD, lambda role: fresh(f"{prefix}/{tr.symbol.token}/{role}")
-        )
-        forward.append((tr, gadget, origin))
+    for i, origin in enumerate(m.actions):
+        sym = minsky_action_to_symbol(origin)
+        prefix = f"a{i}/{sym.token}"
+        gadget = build_gadget(sym, FORWARD, lambda role: fresh(f"{prefix}/{role}"))
+        forward.append((gadget, origin))
     backward = []
     for sym in ALPHABET:
-        prefix = f"back-{sym.token}"
-        gadget = build_gadget(sym, BACKWARD, lambda role: fresh(f"{prefix}/{sym.token}/{role}"))
-        backward.append((sym, gadget))
+        prefix = f"back-{sym.token}/{sym.token}"
+        gadget = build_gadget(sym, BACKWARD, lambda role: fresh(f"{prefix}/{role}"))
+        backward.append((gadget, sym))
 
     states = [start]
     states.extend(m.states)
-    for _, gadget, _ in forward:
+    for gadget, _ in forward:
         states.extend((gadget.entry,) + gadget.internal_states + (gadget.exit,))
     states.append(replay)
-    for _, gadget in backward:
+    for gadget, _ in backward:
         states.extend((gadget.entry,) + gadget.internal_states + (gadget.exit,))
     states.append(cover)
 
     actions = [Action(start, (push(BOTTOM), push(MARKER), push(UNARY)), m.source)]
-    for tr, gadget, _ in forward:
-        actions.append(Action(tr.source, (), gadget.entry))
+    for gadget, origin in forward:
+        actions.append(Action(origin.source, (), gadget.entry))
         actions.extend(gadget.actions)
-        actions.append(Action(gadget.exit, (), tr.target))
+        actions.append(Action(gadget.exit, (), origin.target))
     actions.append(
         Action(m.target, (pop(UNARY), pop(MARKER), push(MARKER), push(UNARY)), replay)
     )
-    for _, gadget in backward:
+    for gadget, _ in backward:
         actions.append(Action(replay, (), gadget.entry))
         actions.extend(gadget.actions)
         actions.append(Action(gadget.exit, (), replay))
     actions.append(Action(replay, (pop(UNARY), pop(MARKER), pop(BOTTOM)), cover))
 
     system = Prvass(tuple(states), STACK_ALPHABET, tuple(actions))
-    bookkeeping: dict[Gadget, MinskyAction | DeltaSymbol] = {}
-    for _, gadget, origin in forward:
-        bookkeeping[gadget] = origin
-    for sym, gadget in backward:
-        bookkeeping[gadget] = sym
-    return CompiledSystem(system, start, cover, {q: q for q in m.states}, bookkeeping)
+    bookkeeping: dict[Gadget, MinskyAction | DeltaSymbol] = dict(forward + backward)
+    return CompiledSystem(system, start, cover, bookkeeping)
 
 
 class GadgetBoundError(RuntimeError):

@@ -108,13 +108,6 @@ def rel_spec(token_or_symbol: str | DeltaSymbol) -> RelationSpec:
     return RelationSpec(parse_delta_token(token_or_symbol))
 
 
-def rel_apply(r: RelationSpec, m: int) -> int | None:
-    """Exact application; None where the partial function is undefined."""
-    if m < 0:
-        raise ValueError(f"relation argument must be non-negative, got {m}")
-    return r.apply(m)
-
-
 def weak_member(r, mode: WeakMode, m: int, n: int) -> bool:
     """Membership of (m, n) in the relation under the given mode.
 
@@ -261,6 +254,21 @@ def _exact_values(rs, domain_bound: int) -> list[int | None]:
     return out
 
 
+_MAX_SEQUENCE_LENGTH = 4
+
+
+def _checked_sequence(rs, domain_bound: int) -> tuple:
+    """The sequence as a tuple, once it and the rectangle bound are checked."""
+    rs = tuple(rs)
+    if not rs:
+        raise ValueError("sequence must be non-empty")
+    if len(rs) > _MAX_SEQUENCE_LENGTH:
+        raise ValueError(f"sequence length {len(rs)} exceeds the cap {_MAX_SEQUENCE_LENGTH}")
+    if domain_bound < 0:
+        raise ValueError(f"domain bound must be non-negative, got {domain_bound}")
+    return rs
+
+
 @dataclass(frozen=True)
 class TwoApproximationsReport:
     """Result of checking exact = forward-weak and backward-weak over a rectangle."""
@@ -275,7 +283,7 @@ class TwoApproximationsReport:
             raise ValueError("holds must mirror the absence of a counterexample")
 
 
-def check_two_approximations(rs, domain_bound: int, max_len: int = 4) -> TwoApproximationsReport:
+def check_two_approximations(rs, domain_bound: int) -> TwoApproximationsReport:
     """Exhaustively compare the exact composition with both weak compositions.
 
     For every (m, n) with m, n <= domain_bound, checks that (m, n) is in
@@ -286,11 +294,7 @@ def check_two_approximations(rs, domain_bound: int, max_len: int = 4) -> TwoAppr
     _backward_ceilings), which the test suite cross-validates against the
     enumeration in compose_member.
     """
-    rs = tuple(rs)
-    if not rs:
-        raise ValueError("sequence must be non-empty")
-    if len(rs) > max_len:
-        raise ValueError(f"sequence length {len(rs)} exceeds the cap {max_len}")
+    rs = _checked_sequence(rs, domain_bound)
     exact = _exact_values(rs, domain_bound)
     fwd = _forward_ceilings(rs, domain_bound)
     bwd = _backward_ceilings(rs, domain_bound)
@@ -319,13 +323,9 @@ class MonotonePairsReport:
     violation: tuple[tuple[int, int], tuple[int, int]] | None
 
 
-def check_monotone_pairs_lemma(rs, domain_bound: int, max_len: int = 4) -> MonotonePairsReport:
+def check_monotone_pairs_lemma(rs, domain_bound: int) -> MonotonePairsReport:
     """Exhaustively check the ordering lemma over the bounded rectangle."""
-    rs = tuple(rs)
-    if not rs:
-        raise ValueError("sequence must be non-empty")
-    if len(rs) > max_len:
-        raise ValueError(f"sequence length {len(rs)} exceeds the cap {max_len}")
+    rs = _checked_sequence(rs, domain_bound)
     fwd = _forward_ceilings(rs, domain_bound)
     bwd = _backward_ceilings(rs, domain_bound)
     # min_fwd[n] = least m <= domain_bound with (m, n) in the forward composition

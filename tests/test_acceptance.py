@@ -39,7 +39,6 @@ from prvass.relations import (
     godel_encode,
     is_strictly_monotone,
     minsky_action_to_symbol,
-    rel_apply,
     rel_spec,
     weak_member,
 )
@@ -161,7 +160,7 @@ def test_criterion_6_encoding_coherence():
             for n0 in range(9):
                 for n1 in range(9):
                     succs = minsky_successors(machine, MinskyConfig("s", (n0, n1)))
-                    image = rel_apply(spec, godel_encode(n0, n1))
+                    image = spec.apply(godel_encode(n0, n1))
                     if succs:
                         if image != godel_encode(*succs[0][1].counters):
                             mismatches += 1
@@ -188,10 +187,10 @@ def _boundary_shape(stack) -> bool:
 class BoundaryMonitor:
     """Counts dequeued boundary configurations and any shape violations."""
 
-    def __init__(self, compiled):
+    def __init__(self, compiled, machine_states):
         final = [a for a in compiled.system.actions if a.target == compiled.cover_target]
         self.replay = final[0].source
-        self.images = set(compiled.machine_states_image.values())
+        self.machine_states = set(machine_states)
         self.start = compiled.start
         self.cover = compiled.cover_target
         self.checked = 0
@@ -204,7 +203,7 @@ class BoundaryMonitor:
             self.checked += 1
             if cfg.stack != () or cfg.counter != 0:
                 self.violations.append(cfg)
-        elif cfg.state == self.replay or cfg.state in self.images:
+        elif cfg.state == self.replay or cfg.state in self.machine_states:
             self.checked += 1
             if cfg.counter != 0 or not _boundary_shape(cfg.stack):
                 self.violations.append(cfg)
@@ -217,7 +216,7 @@ def corpus_runs():
     for name in CORPUS_EXPECTED:
         machine = load_machine(name)
         compiled = compile_machine(machine)
-        monitor = BoundaryMonitor(compiled)
+        monitor = BoundaryMonitor(compiled, machine.states)
         mv = minsky_bounded_reach(machine, CORPUS_BOUNDS)
         pv = bounded_cover(
             compiled.system,

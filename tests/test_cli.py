@@ -60,10 +60,9 @@ def test_cover_unknown_target_is_usage_error(workdir):
     assert main(["cover", str(system), "--target", "nowhere"]) == 3
 
 
-def test_cover_env_budget_override(workdir, monkeypatch):
+def test_cover_visited_budget_exits_two(workdir):
     system = _compile(workdir, "inc-dec")
-    monkeypatch.setenv("PRVASS_MAX_VISITED", "3")
-    assert main(["cover", str(system), "--target", "t'"]) == 2
+    assert main(["cover", str(system), "--target", "t'", "--max-visited", "3"]) == 2
 
 
 def test_cover_writes_replayable_trace(workdir, capsys):
@@ -74,6 +73,37 @@ def test_cover_writes_replayable_trace(workdir, capsys):
     digest, trace = parse_trace(trace_path.read_text())
     assert digest == system_digest(text)
     assert replay_trace(parse_model_file(text).system, trace)
+
+
+def test_cover_unwritable_trace_out_fails_before_the_search(workdir, monkeypatch, capsys):
+    system = _compile(workdir, "inc-dec")
+    calls = []
+    monkeypatch.setattr("prvass.cli.bounded_cover", lambda *args: calls.append(args))
+    trace_path = workdir / "nodir" / "x.trace"
+    assert main(["cover", str(system), "--target", "t'", "--trace-out", str(trace_path)]) == 3
+    assert calls == []
+    assert "VERDICT" not in capsys.readouterr().out
+
+
+def test_cover_without_a_witness_leaves_no_trace_file(workdir):
+    system = _compile(workdir, "inc-only")
+    trace_path = workdir / "witness.trace"
+    assert main(["cover", str(system), "--target", "t'", "--trace-out", str(trace_path)]) == 1
+    assert not trace_path.exists()
+    assert main(["cover", str(system), "--target", "nowhere", "--trace-out", str(trace_path)]) == 3
+    assert not trace_path.exists()
+
+
+def test_cover_without_a_witness_keeps_a_file_already_at_the_trace_path(workdir):
+    system = _compile(workdir, "inc-only")
+    kept = workdir / "kept.txt"
+    kept.write_text("keep me\n")
+    for target, code in (("t'", 1), ("nowhere", 3)):
+        assert main(["cover", str(system), "--target", target, "--trace-out", str(kept)]) == code
+        assert kept.read_text() == "keep me\n"
+    model = system.read_text()
+    assert main(["cover", str(system), "--target", "t'", "--trace-out", str(system)]) == 1
+    assert system.read_text() == model
 
 
 def test_cover_json_payload(workdir, capsys):
@@ -114,6 +144,12 @@ def test_prop1_json(capsys):
 
 def test_prop1_bad_token_is_usage_error(capsys):
     assert main(["prop1", "m5", "--domain", "10"]) == 3
+
+
+def test_prop1_negative_domain_exits_three(capsys):
+    assert main(["prop1", "m2", "d2", "--domain", "-5"]) == 3
+    assert "RESULT" not in capsys.readouterr().out
+    assert main(["prop1", "m2", "d2", "--domain", "0"]) == 0
 
 
 def test_diff_agree_exits_zero(workdir, capsys):

@@ -17,11 +17,9 @@ from prvass.formats import (
     ParseError,
     parse_minsky,
     parse_model_file,
-    parse_prvass,
     parse_trace,
     render_trace,
     serialize_minsky,
-    serialize_model_file,
     serialize_prvass,
     system_digest,
 )
@@ -62,6 +60,15 @@ def test_parse_minsky_bad_counter_index():
     assert "0 or 1" in str(exc.value)
 
 
+def test_bad_name_token_reports_its_column_in_the_line():
+    with pytest.raises(ParseError) as exc:
+        parse_minsky(INC_DEC_TEXT.replace("states: s q t", "states: s q:x t"))
+    assert (exc.value.line, exc.value.column) == (2, 11)
+    with pytest.raises(ParseError) as exc:
+        parse_model_file(PRVASS_TEXT.replace("stack: a b", "stack:  a  b,c"))
+    assert (exc.value.line, exc.value.column) == (3, 12)
+
+
 def test_minsky_round_trip_is_identity_on_canonical_text():
     assert serialize_minsky(parse_minsky(INC_DEC_TEXT)) == INC_DEC_TEXT
 
@@ -88,8 +95,8 @@ q2 -> q2 :
 """
 
 
-def test_parse_prvass_action_bodies():
-    sys = parse_prvass(PRVASS_TEXT)
+def test_prvass_action_bodies():
+    sys = parse_model_file(PRVASS_TEXT).system
     assert sys == Prvass(
         ("q1", "q2"),
         ("a", "b"),
@@ -100,24 +107,24 @@ def test_parse_prvass_action_bodies():
 def test_prvass_model_file_round_trip_keeps_init():
     mf = parse_model_file(PRVASS_TEXT)
     assert mf.kind == "prvass" and mf.init == "q1"
-    assert serialize_model_file(mf) == PRVASS_TEXT
+    assert serialize_prvass(mf.system, mf.init) == PRVASS_TEXT
 
 
-def test_parse_prvass_rejects_repeated_init_with_its_line():
+def test_prvass_rejects_repeated_init_with_its_line():
     with pytest.raises(ParseError) as exc:
         parse_model_file(PRVASS_TEXT + "init: q2\n")
     assert exc.value.line == 7
     assert "line 4" in str(exc.value)
 
 
-def test_parse_prvass_rejects_unknown_instruction():
+def test_prvass_rejects_unknown_instruction():
     with pytest.raises(ParseError) as exc:
-        parse_prvass(PRVASS_TEXT.replace("inc, inc", "inc, warp"))
+        parse_model_file(PRVASS_TEXT.replace("inc, inc", "inc, warp"))
     assert "warp" in str(exc.value)
 
 
 def test_unknown_pop_symbol_is_a_validation_diagnostic_not_a_parse_error():
-    sys = parse_prvass(PRVASS_TEXT.replace("pop(a)", "pop(zz)"))
+    sys = parse_model_file(PRVASS_TEXT.replace("pop(a)", "pop(zz)")).system
     messages = [str(d) for d in validate(sys)]
     assert any("zz" in m for m in messages)
 
@@ -129,8 +136,6 @@ def test_parse_rejects_unknown_kind_and_empty_file():
         parse_model_file("   \n# only a comment\n")
     with pytest.raises(ParseError):
         parse_minsky(PRVASS_TEXT)
-    with pytest.raises(ParseError):
-        parse_prvass(INC_DEC_TEXT)
 
 
 def test_compiled_system_round_trips():
@@ -139,13 +144,11 @@ def test_compiled_system_round_trips():
     mf = parse_model_file(text)
     assert mf.system == compiled.system
     assert mf.init == compiled.start
-    assert serialize_model_file(mf) == text
+    assert serialize_prvass(mf.system, mf.init) == text
 
 
 def test_model_file_docstring_kinds():
     assert ModelFile("minsky").machine is None
-    with pytest.raises(ValueError):
-        serialize_model_file(ModelFile("petri"))
 
 
 def test_trace_render_and_parse_round_trip():
@@ -171,3 +174,6 @@ def test_trace_parse_rejects_missing_header():
         parse_trace("s\t\t0\n")
     with pytest.raises(ParseError):
         parse_trace("# sha256: abc\ns\t\tnot-a-number\n")
+    with pytest.raises(ParseError) as exc:
+        parse_trace("# sha256: abc\ns\ta\t0\ns\t\t-1\n")
+    assert (exc.value.line, exc.value.column) == (3, 4)

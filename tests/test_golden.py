@@ -1,8 +1,9 @@
 """The corpus outputs of the CLI, pinned byte for byte.
 
-golden_corpus.json holds `diff --json` for every corpus machine and, for
-each machine whose compiled side covers, `cover --json` and the bytes of
-the `--trace-out` file.  A refactor of the search must reproduce them
+golden_corpus.json holds `compile --json` and the compiled file, and
+`diff --json`, for every corpus machine and, for each machine whose
+compiled side covers, `cover --json` and the bytes of the `--trace-out`
+file.  A refactor of the compiler or the search must reproduce them
 exactly.  To record them again from the code on the path, run
 `PYTHONPATH=src python tests/test_golden.py`.
 """
@@ -10,6 +11,7 @@ exactly.  To record them again from the code on the path, run
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -28,18 +30,26 @@ def _run(argv):
 
 
 def corpus_outputs(workdir: Path) -> dict:
-    outputs = {"diff": {}, "cover": {}}
-    for path in sorted(CORPUS_DIR.glob("*.minsky")):
-        name = path.stem
-        diff = outputs["diff"][name] = _run(["diff", str(path), "--json"])
-        if json.loads(diff["stdout"])["prvass"] != "covered":
-            continue
-        system = workdir / f"{name}.prvass"
-        target = json.loads(_run(["compile", str(path), str(system), "--json"])["stdout"])["cover_target"]
-        trace = workdir / f"{name}.trace"
-        cover = _run(["cover", str(system), "--target", target, "--json", "--trace-out", str(trace)])
-        cover["trace"] = trace.read_bytes().decode("utf-8")
-        outputs["cover"][name] = cover
+    """Run the corpus inside workdir, so compile's stdout names its output file relatively."""
+    outputs = {"compile": {}, "diff": {}, "cover": {}}
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for path in sorted(CORPUS_DIR.glob("*.minsky")):
+            name = path.stem
+            system = f"{name}.prvass"
+            compiled = outputs["compile"][name] = _run(["compile", str(path), system, "--json"])
+            compiled["system"] = Path(system).read_bytes().decode("utf-8")
+            diff = outputs["diff"][name] = _run(["diff", str(path), "--json"])
+            if json.loads(diff["stdout"])["prvass"] != "covered":
+                continue
+            target = json.loads(compiled["stdout"])["cover_target"]
+            trace = f"{name}.trace"
+            cover = _run(["cover", system, "--target", target, "--json", "--trace-out", trace])
+            cover["trace"] = Path(trace).read_bytes().decode("utf-8")
+            outputs["cover"][name] = cover
+    finally:
+        os.chdir(cwd)
     return outputs
 
 

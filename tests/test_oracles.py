@@ -60,6 +60,12 @@ def test_sequence_preconditions():
         check_two_approximations([rel_spec("m2")] * 5, 10)
     with pytest.raises(ValueError):
         check_monotone_pairs_lemma([], 10)
+    with pytest.raises(ValueError):
+        check_two_approximations([rel_spec("m2")], -5)
+    with pytest.raises(ValueError):
+        check_monotone_pairs_lemma([rel_spec("m2")], -1)
+    assert check_two_approximations([rel_spec("m2")], 0).holds
+    assert check_monotone_pairs_lemma([rel_spec("m2")], 0).holds
 
 
 def test_monotone_pairs_lemma_examples():

@@ -25,8 +25,6 @@ from prvass.reduction import (
     build_gadget,
     compile_machine,
     gadget_contract_set,
-    minsky_to_nfa,
-    nfa_accepts,
 )
 from prvass.relations import ALPHABET, WeakMode, parse_delta_token, rel_spec, weak_member
 
@@ -131,40 +129,6 @@ def test_contract_bound_exhaustion_raises():
         gadget_contract_set(_gadget("m3", FORWARD), 10, (), 4)
 
 
-def test_nfa_single_action_language():
-    m = MinskyMachine(("s", "t"), (MinskyAction("s", 0, "inc", "t"),), "s", "t")
-    nfa = minsky_to_nfa(m)
-    m2, m3 = parse_delta_token("m2"), parse_delta_token("m3")
-    assert nfa_accepts(nfa, [m2])
-    assert not nfa_accepts(nfa, [])
-    assert not nfa_accepts(nfa, [m3])
-    assert not nfa_accepts(nfa, [m2, m2])
-
-
-def test_nfa_empty_language():
-    m = MinskyMachine(("s", "t"), (), "s", "t")
-    nfa = minsky_to_nfa(m)
-    m2 = parse_delta_token("m2")
-    assert not nfa_accepts(nfa, [])
-    assert not nfa_accepts(nfa, [m2])
-
-
-def test_nfa_loop_language():
-    m = MinskyMachine(
-        ("s", "t"),
-        (MinskyAction("s", 0, "inc", "s"), MinskyAction("s", 0, "zero", "t")),
-        "s",
-        "t",
-    )
-    nfa = minsky_to_nfa(m)
-    m2, t2 = parse_delta_token("m2"), parse_delta_token("t2")
-    assert nfa_accepts(nfa, [t2])
-    assert nfa_accepts(nfa, [m2, t2])
-    assert nfa_accepts(nfa, [m2, m2, m2, t2])
-    assert not nfa_accepts(nfa, [m2])
-    assert not nfa_accepts(nfa, [t2, m2])
-
-
 def _inc_dec_machine():
     return MinskyMachine(
         ("s", "q", "t"),
@@ -179,7 +143,8 @@ def test_compile_structure():
     sys = compiled.system
     assert validate(sys) == []
     assert sys.stack_alphabet == STACK_ALPHABET
-    assert compiled.machine_states_image == {"s": "s", "q": "q", "t": "t"}
+    # every machine state keeps its name in the compiled control
+    assert set(_inc_dec_machine().states) <= set(sys.states)
     # the entry state has no incoming actions, the cover target no outgoing
     assert all(a.target != compiled.start for a in sys.actions)
     assert all(a.source != compiled.cover_target for a in sys.actions)

@@ -12,7 +12,6 @@ from prvass.relations import (
     is_strictly_monotone,
     minsky_action_to_symbol,
     parse_delta_token,
-    rel_apply,
     rel_spec,
     weak_member,
 )
@@ -48,12 +47,12 @@ def test_alphabet_has_exactly_six_symbols():
         parse_delta_token("x2")
 
 
-def test_rel_apply_examples():
-    assert rel_apply(rel_spec("d3"), 12) == 4
-    assert rel_apply(rel_spec("d3"), 10) is None
-    assert rel_apply(rel_spec("t2"), 4) is None
-    assert rel_apply(rel_spec("t2"), 3) == 3
-    assert rel_apply(rel_spec("m3"), 7) == 21
+def test_spec_apply_examples():
+    assert rel_spec("d3").apply(12) == 4
+    assert rel_spec("d3").apply(10) is None
+    assert rel_spec("t2").apply(4) is None
+    assert rel_spec("t2").apply(3) == 3
+    assert rel_spec("m3").apply(7) == 21
 
 
 def test_weak_member_examples():
@@ -147,7 +146,7 @@ def test_encoding_coherence_with_machine_steps():
                 for n1 in range(9):
                     encoded = godel_encode(n0, n1)
                     succs = minsky_successors(machine, MinskyConfig("s", (n0, n1)))
-                    image = rel_apply(spec, encoded)
+                    image = spec.apply(encoded)
                     if succs:
                         assert image == godel_encode(*succs[0][1].counters)
                     else:
@@ -171,7 +170,5 @@ def test_compose_member_reports_bound_escape():
 def test_weak_membership_argument_checks():
     with pytest.raises(ValueError):
         weak_member(rel_spec("m2"), WeakMode.EXACT, -1, 0)
-    with pytest.raises(ValueError):
-        rel_apply(rel_spec("m2"), -3)
     with pytest.raises(ValueError):
         is_strictly_monotone(rel_spec("m2"), 1)
