@@ -260,6 +260,8 @@ def cmd_diff(args) -> int:
             f"RESULT={report.status}",
         ],
     )
+    for side, verdict in (("minsky", report.minsky_verdict), ("prvass", report.prvass_verdict)):
+        print(f"{side} elapsed={verdict.stats.elapsed:.3f}s", file=sys.stderr)
     if report.status == "agree":
         return EXIT_OK
     if report.status == "disagree":

@@ -6,7 +6,9 @@ verdicts are honest about it: exhausted_no_cover is only reported when the
 frontier emptied and no successor was ever pruned by a bound, otherwise
 the outcome is bounds_hit.  Searches are breadth-first with a visited set
 keyed on the full configuration, which makes witnesses minimal in action
-count and results deterministic.
+count and results deterministic.  A stack-and-counter configuration is keyed
+by a (state, stack node, counter) triple whose stack is hash-consed, and is
+decoded back into a Configuration only where a caller sees it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,11 @@ from functools import partial
 from typing import Callable
 
 from .models import (
+    DEC_KIND,
+    INC_KIND,
+    POP,
+    PUSH,
+    RESET_KIND,
     Configuration,
     MinskyConfig,
     MinskyMachine,
@@ -78,29 +85,136 @@ class Verdict:
     stats: SearchStats
 
 
-def _prvass_expander(sys: Prvass):
-    interned: dict = {}
+def _effect(body):
+    """The normalised effect of an action body, or None when no configuration can fire it.
 
-    def expand(cfg):
+    Stack and counter instructions act on independent parts of a
+    configuration, so a body factorises into (pops, pushes, need, reset,
+    delta): it fires when the stack top reads pops (top first) and the
+    counter is at least need; it replaces the popped symbols by pushes
+    (bottom first) and sets the counter to delta after a reset, or adds
+    delta to it otherwise.  A push of x then a pop of y cancels when x == y
+    and is dead otherwise; so is a decrement below zero after a reset.
+    """
+    pops, pushes = [], []
+    need, reset, delta = 0, False, 0
+    for instr in body:
+        kind = instr.kind
+        if kind == PUSH:
+            pushes.append(instr.symbol)
+        elif kind == POP:
+            if not pushes:
+                pops.append(instr.symbol)
+            elif pushes.pop() != instr.symbol:
+                return None
+        elif kind == INC_KIND:
+            delta += 1
+        elif kind == DEC_KIND:
+            if not reset:
+                need = max(need, 1 - delta)
+            elif delta < 1:
+                return None
+            delta -= 1
+        elif kind == RESET_KIND:
+            reset, delta = True, 0
+        else:
+            raise ValueError(f"unknown instruction kind: {kind!r}")
+    return tuple(pops), tuple(pushes), need, reset, delta
+
+
+def _prvass_family(sys: Prvass, start: Configuration, b: Bounds):
+    """The flat search of a stack-and-counter system.
+
+    A search key is the triple (state, stack node, counter).  Stacks are
+    hash-consed in a trie of (parent, symbol) nodes with integer ids, node 0
+    being the empty stack, so equal stacks share one node: a push is one
+    dict lookup, a pop one list read, and a key hashes in constant time.
+    Actions are grouped by source state in one pass; a state's bodies are
+    normalised by _effect the first time the state is expanded, so a search
+    that visits a few states pays for those alone.
+    """
+    by_source: dict = {}
+    for action in sys.actions:
+        by_source.setdefault(action.source, []).append(action)
+    effects: dict = {}
+    parent = [0]
+    top = [None]
+    height = [0]
+    children: dict = {}  # symbol -> {node: node with symbol pushed on it}
+
+    def grow(node, symbol, kids):
+        child = kids[node] = len(parent)
+        parent.append(node)
+        top.append(symbol)
+        height.append(height[node] + 1)
+        return child
+
+    def compile_state(state):
+        compiled = effects[state] = []
+        for action in by_source.get(state, ()):
+            effect = _effect(action.body)
+            if effect is not None:
+                pops, pushes, need, reset, delta = effect
+                pushes = tuple((symbol, children.setdefault(symbol, {})) for symbol in pushes)
+                compiled.append((action, action.target, pops, pushes, need, reset, delta))
+        return compiled
+
+    node = 0
+    for symbol in start.stack:
+        kids = children.setdefault(symbol, {})
+        node = kids.get(node) or grow(node, symbol, kids)
+
+    def expand(key):
+        state, node, counter = key
+        compiled = effects.get(state)
+        if compiled is None:
+            compiled = compile_state(state)
         out = []
-        for action, succ in successors(sys, cfg):
-            stack = interned.setdefault(succ.stack, succ.stack)
-            if stack is not succ.stack:
-                succ = Configuration(succ.state, stack, succ.counter)
-            out.append((action, succ))
+        for action, target, pops, pushes, need, reset, delta in compiled:
+            if counter < need:
+                continue
+            n = node
+            for symbol in pops:
+                if top[n] != symbol:
+                    break
+                n = parent[n]
+            else:
+                for symbol, kids in pushes:
+                    n = kids.get(n) or grow(n, symbol, kids)
+                out.append((action, (target, n, delta if reset else counter + delta)))
         return out
 
-    return expand
+    max_stack, max_counter = b.max_stack, b.max_counter
+
+    def prune(key):
+        return height[key[1]] > max_stack or key[2] > max_counter
+
+    words: dict = {0: ()}
+
+    def decode(key):
+        state, node, counter = key
+        path = []
+        while node not in words:
+            path.append(node)
+            node = parent[node]
+        word = words[node]
+        for n in reversed(path):
+            word = words[n] = word + (top[n],)
+        return Configuration(state, word, counter)
+
+    return (start.state, node, start.counter), expand, prune, decode
 
 
 def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None = None):
-    """The (expand, prune) pair of the model's family; the one place the search dispatches on it.
+    """The model family's (start key, expand, prune, decode); the one place the search dispatches on it.
 
-    expand(cfg) yields (action, successor) pairs in action declaration
-    order.  It is also the one place that checks the search's inputs belong
-    to the model: the start state and the target state, when one is named,
-    must be declared, and every start stack symbol must be in the alphabet
-    (one pass over the start stack, never one per expansion).
+    expand(key) yields (action, successor key) pairs in action declaration
+    order, prune(key) says whether a bound drops the key, and decode(key)
+    is the configuration a key stands for.  Two-counter configurations are
+    their own keys.  This is also the one place that checks the search's
+    inputs belong to the model: the start state and the target state, when
+    one is named, must be declared, and every start stack symbol must be in
+    the alphabet (one pass over the start stack, never one per expansion).
     """
     states = set(model.states)
     for what, state in (("target", target), ("start", start.state)):
@@ -111,25 +225,26 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None 
         for symbol in start.stack:
             if symbol not in alphabet:
                 raise ValueError(f"start stack symbol {symbol!r} not in the stack alphabet")
-
-        def prune(cfg):
-            return len(cfg.stack) > b.max_stack or cfg.counter > b.max_counter
-
-        return _prvass_expander(model), prune
+        return _prvass_family(model, start, b)
 
     def prune(cfg):
         return cfg.counters[0] > b.max_counter or cfg.counters[1] > b.max_counter
 
-    return partial(minsky_successors, model), prune
+    return start, partial(minsky_successors, model), prune, _identity
 
 
-def _bfs(start, b: Bounds, expand, prune, is_target, check=None) -> Verdict:
+def _identity(cfg):
+    return cfg
+
+
+def _bfs(start, b: Bounds, expand, prune, decode, is_target, check=None) -> Verdict:
     """Layered breadth-first search core shared by all searches.
 
-    expand and prune come from _family.  check, when given, is called on
-    every dequeued configuration.  The layer at depth max_steps is expanded
-    only to learn whether a successor would be dropped; none of its
-    successors is visited.
+    start, expand, prune and decode come from _family, and the search runs
+    on its keys; is_target tests a key.  Configurations are decoded only for
+    check, which, when given, is called on every dequeued configuration, and
+    for the witness.  The layer at depth max_steps is expanded only to learn
+    whether a successor would be dropped; none of its successors is visited.
     """
     t0 = time.perf_counter()
     parents: dict = {start: None}
@@ -138,19 +253,19 @@ def _bfs(start, b: Bounds, expand, prune, is_target, check=None) -> Verdict:
     frontier_peak = 1
     depth = 0
     while layer:
-        for cfg in layer:
+        for key in layer:
             if check is not None:
-                check(cfg)
-            if is_target(cfg):
+                check(decode(key))
+            if is_target(key):
                 steps = []
-                cur = cfg
+                cur = key
                 while parents[cur] is not None:
                     prev, action = parents[cur]
-                    steps.append((action, cur))
+                    steps.append((action, decode(cur)))
                     cur = prev
                 steps.reverse()
                 stats = SearchStats(len(parents), frontier_peak, time.perf_counter() - t0)
-                return Verdict(COVERED, Trace(start, tuple(steps)), stats)
+                return Verdict(COVERED, Trace(decode(start), tuple(steps)), stats)
         if depth == 0 and prune(start):
             # the start configuration itself violates a cap: nothing can
             # be expanded honestly
@@ -158,11 +273,11 @@ def _bfs(start, b: Bounds, expand, prune, is_target, check=None) -> Verdict:
             break
         if depth >= b.max_steps:
             # an earlier drop already forbids an exhaustion claim
-            pruned = pruned or any(succ not in parents for cfg in layer for _, succ in expand(cfg))
+            pruned = pruned or any(succ not in parents for key in layer for _, succ in expand(key))
             break
         next_layer = []
-        for cfg in layer:
-            for action, succ in expand(cfg):
+        for key in layer:
+            for action, succ in expand(key):
                 if succ in parents:
                     continue
                 if prune(succ):
@@ -171,7 +286,7 @@ def _bfs(start, b: Bounds, expand, prune, is_target, check=None) -> Verdict:
                 if len(parents) >= b.max_visited:
                     pruned = True
                     continue
-                parents[succ] = (cfg, action)
+                parents[succ] = (key, action)
                 next_layer.append(succ)
         depth += 1
         frontier_peak = max(frontier_peak, len(next_layer))
@@ -191,15 +306,15 @@ def bounded_cover(
     bounds_hit otherwise.  Identical inputs give identical verdicts and
     traces.  check, when given, sees every dequeued configuration.
     """
-    expand, prune = _family(sys, start, b, target)
-    return _bfs(start, b, expand, prune, lambda c: c.state == target, check)
+    start_key, expand, prune, decode = _family(sys, start, b, target)
+    return _bfs(start_key, b, expand, prune, decode, lambda key: key[0] == target, check)
 
 
 def minsky_bounded_reach(m: MinskyMachine, b: Bounds) -> Verdict:
     """Bounded search for the exact configuration (target, 0, 0) from (source, 0, 0)."""
     start, goal = MinskyConfig(m.source, (0, 0)), MinskyConfig(m.target, (0, 0))
-    expand, prune = _family(m, start, b, m.target)
-    return _bfs(start, b, expand, prune, lambda c: c == goal)
+    start_key, expand, prune, decode = _family(m, start, b, m.target)
+    return _bfs(start_key, b, expand, prune, decode, lambda c: c == goal)
 
 
 @dataclass(frozen=True)
@@ -218,8 +333,8 @@ def reachable_set(sys: Prvass | MinskyMachine, start, b: Bounds) -> ReachableSet
     event, i.e. the returned tuple really is the whole reachable set.
     """
     seen: list = []
-    expand, prune = _family(sys, start, b)
-    verdict = _bfs(start, b, expand, prune, lambda c: False, seen.append)
+    start_key, expand, prune, decode = _family(sys, start, b)
+    verdict = _bfs(start_key, b, expand, prune, decode, lambda key: False, seen.append)
     return ReachableSet(tuple(seen), verdict.outcome == EXHAUSTED_NO_COVER, verdict.stats)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import pytest
@@ -156,6 +157,13 @@ def test_diff_agree_exits_zero(workdir, capsys):
     assert main(["diff", str(workdir / "inc-dec.minsky")]) == 0
     out = capsys.readouterr().out
     assert "MINSKY=covered" in out and "PRVASS=covered" in out and "RESULT=agree" in out
+
+
+def test_diff_times_each_side_on_stderr(workdir, capsys):
+    assert main(["diff", str(workdir / "inc-dec.minsky")]) == 0
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"minsky elapsed=\d+\.\d{3}s\nprvass elapsed=\d+\.\d{3}s\n", captured.err)
+    assert "elapsed" not in captured.out
 
 
 def test_diff_inconclusive_exits_two(workdir, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from prvass.explorer import (
@@ -6,6 +8,7 @@ from prvass.explorer import (
     COVERED,
     EXHAUSTED_NO_COVER,
     Trace,
+    _family,
     bounded_cover,
     differential_check,
     minsky_bounded_reach,
@@ -18,10 +21,12 @@ from prvass.models import (
     Configuration,
     DEC,
     INC,
+    RESET,
     MinskyAction,
     MinskyConfig,
     MinskyMachine,
     Prvass,
+    pop,
     push,
     successors,
 )
@@ -213,6 +218,72 @@ def test_visited_set_matches_naive_fixpoint():
         fixpoint = _naive_fixpoint(compiled.system, start)
         assert set(reach.configs) == fixpoint
         assert len(reach.configs) == len(fixpoint)
+
+
+def test_flat_effects_match_the_reference_semantics():
+    # every body of up to 4 instructions, fired from every stack of height
+    # <= 3 over {a, b} and every counter 0-3: the flat expander's decoded
+    # successors are models.successors, in the same order
+    instructions = (push("a"), push("b"), pop("a"), pop("b"), INC, DEC, RESET)
+    bodies = [body for n in range(5) for body in itertools.product(instructions, repeat=n)]
+    sys = Prvass(("s", "t"), ("a", "b"), tuple(Action("s", body, "t") for body in bodies))
+    for height in range(4):
+        for stack in itertools.product("ab", repeat=height):
+            for counter in range(4):
+                start = Configuration("s", stack, counter)
+                start_key, expand, _, decode = _family(sys, start, GENEROUS)
+                flat = [(action, decode(key)) for action, key in expand(start_key)]
+                assert flat == successors(sys, start), start
+
+
+def _reference_closure(sys, start, b):
+    """Discovery order of a layered BFS over models.successors under the bounds b."""
+    order, seen, layer = [start], {start}, [start]
+    depth = 0
+    while layer and depth < b.max_steps:
+        next_layer = []
+        for cfg in layer:
+            for _, succ in successors(sys, cfg):
+                if succ in seen or len(succ.stack) > b.max_stack or succ.counter > b.max_counter:
+                    continue
+                if len(seen) < b.max_visited:
+                    seen.add(succ)
+                    next_layer.append(succ)
+        order += next_layer
+        layer = next_layer
+        depth += 1
+    return order
+
+
+@pytest.mark.parametrize(
+    "name, b, complete",
+    [
+        ("swap", GENEROUS, False),
+        ("inc-dec", GENEROUS, True),
+        ("big-counter", Bounds(1_000_000, 24, 10_000, 1_000_000), False),
+    ],
+    ids=("swap", "inc-dec", "big-counter"),
+)
+def test_closure_order_matches_reference_bfs(name, b, complete):
+    compiled = compile_machine(load_machine(name))
+    start = Configuration(compiled.start, (), 0)
+    reach = reachable_set(compiled.system, start, b)
+    assert reach.complete is complete
+    assert list(reach.configs) == _reference_closure(compiled.system, start, b)
+
+
+def test_big_counter_count_fence():
+    # the counts of the benchmark's deep-cover search; any change to the
+    # search order or the dedup moves them
+    compiled = compile_machine(load_machine("big-counter"))
+    verdict = bounded_cover(
+        compiled.system,
+        Configuration(compiled.start, (), 0),
+        compiled.cover_target,
+        Bounds(1_000_000, 96, 10_000, 1_000_000),
+    )
+    assert verdict.outcome == BOUNDS_HIT
+    assert (verdict.stats.visited, verdict.stats.frontier_peak) == (123_434, 548)
 
 
 def test_no_reachable_configuration_has_negative_counter():
