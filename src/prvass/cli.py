@@ -25,13 +25,8 @@ from .explorer import (
     reachable_set,
 )
 from .models import Configuration, Diagnostic, MinskyConfig, validate
-from .formats import (
-    ParseError,
-    parse_model_file,
-    render_trace,
-    serialize_prvass,
-)
-from .reduction import InvalidModelError, compile_machine
+from .formats import parse_model_file, render_trace, serialize_prvass
+from .reduction import compile_machine
 from .relations import check_two_approximations, parse_delta_token, rel_spec
 
 EXIT_OK = 0
@@ -53,10 +48,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_bounds_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-steps", type=int, default=1_000_000, help="search depth budget in action firings")
-    parser.add_argument("--max-stack", type=int, default=64, help="stack length cap per configuration")
-    parser.add_argument("--max-counter", type=int, default=10_000, help="counter cap per configuration")
-    parser.add_argument("--max-visited", type=int, default=1_000_000, help="global budget on distinct configurations")
+    parser.add_argument("--max-steps", type=int, default=Bounds.max_steps, help="search depth budget in action firings")
+    parser.add_argument("--max-stack", type=int, default=Bounds.max_stack, help="stack length cap per configuration")
+    parser.add_argument("--max-counter", type=int, default=Bounds.max_counter, help="counter cap per configuration")
+    parser.add_argument(
+        "--max-visited", type=int, default=Bounds.max_visited, help="global budget on distinct configurations"
+    )
     parser.add_argument("--threads", type=int, default=1, help="accepted and ignored: the search is serial")
 
 
@@ -319,10 +316,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, InvalidModelError, OSError, ValueError) as exc:
+    except (_UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

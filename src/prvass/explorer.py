@@ -16,7 +16,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 from .models import (
     DEC_KIND,
@@ -237,14 +236,14 @@ def _identity(cfg):
     return cfg
 
 
-def _bfs(start, b: Bounds, expand, prune, decode, is_target, check=None) -> Verdict:
+def _bfs(start, b: Bounds, expand, prune, decode, is_target) -> Verdict:
     """Layered breadth-first search core shared by all searches.
 
     start, expand, prune and decode come from _family, and the search runs
-    on its keys; is_target tests a key.  Configurations are decoded only for
-    check, which, when given, is called on every dequeued configuration, and
-    for the witness.  The layer at depth max_steps is expanded only to learn
-    whether a successor would be dropped; none of its successors is visited.
+    on its keys; is_target sees every dequeued key, in order, and only the
+    witness is decoded.  The layer at depth max_steps is expanded only to
+    learn whether a successor would be dropped; none of its successors is
+    visited.
     """
     t0 = time.perf_counter()
     parents: dict = {start: None}
@@ -254,8 +253,6 @@ def _bfs(start, b: Bounds, expand, prune, decode, is_target, check=None) -> Verd
     depth = 0
     while layer:
         for key in layer:
-            if check is not None:
-                check(decode(key))
             if is_target(key):
                 steps = []
                 cur = key
@@ -295,19 +292,17 @@ def _bfs(start, b: Bounds, expand, prune, decode, is_target, check=None) -> Verd
     return Verdict(BOUNDS_HIT if pruned else EXHAUSTED_NO_COVER, None, stats)
 
 
-def bounded_cover(
-    sys: Prvass, start: Configuration, target: str, b: Bounds, check: Callable | None = None
-) -> Verdict:
+def bounded_cover(sys: Prvass, start: Configuration, target: str, b: Bounds) -> Verdict:
     """Breadth-first coverability: is any configuration with the target state reachable?
 
     Returns covered with a minimal action-count witness the moment a target
     configuration is dequeued, exhausted_no_cover only when the full
     reachable set within bounds was enumerated without pruning, and
     bounds_hit otherwise.  Identical inputs give identical verdicts and
-    traces.  check, when given, sees every dequeued configuration.
+    traces.
     """
     start_key, expand, prune, decode = _family(sys, start, b, target)
-    return _bfs(start_key, b, expand, prune, decode, lambda key: key[0] == target, check)
+    return _bfs(start_key, b, expand, prune, decode, lambda key: key[0] == target)
 
 
 def minsky_bounded_reach(m: MinskyMachine, b: Bounds) -> Verdict:
@@ -332,10 +327,11 @@ def reachable_set(sys: Prvass | MinskyMachine, start, b: Bounds) -> ReachableSet
     complete is True only when the closure finished without any pruning
     event, i.e. the returned tuple really is the whole reachable set.
     """
-    seen: list = []
+    keys: list = []
     start_key, expand, prune, decode = _family(sys, start, b)
-    verdict = _bfs(start_key, b, expand, prune, decode, lambda key: False, seen.append)
-    return ReachableSet(tuple(seen), verdict.outcome == EXHAUSTED_NO_COVER, verdict.stats)
+    # keys.append returns None, so no key is a target and every dequeued key is kept
+    verdict = _bfs(start_key, b, expand, prune, decode, keys.append)
+    return ReachableSet(tuple(map(decode, keys)), verdict.outcome == EXHAUSTED_NO_COVER, verdict.stats)
 
 
 def replay_trace(sys: Prvass | MinskyMachine, tr: Trace) -> bool:

@@ -107,18 +107,21 @@ def _parse_machine_body(lines) -> MinskyMachine:
             raise ParseError(lineno, 1, f"expected 'source counter op target', got {line.strip()!r}")
         src, idx, op, dst = tokens
         if idx not in ("0", "1"):
-            raise ParseError(lineno, line.find(idx) + 1, f"counter index must be 0 or 1, got {idx!r}")
+            column = list(re.finditer(r"\S+", line))[1].start() + 1
+            raise ParseError(lineno, column, f"counter index must be 0 or 1, got {idx!r}")
         if op not in ("inc", "dec", "zero"):
-            raise ParseError(lineno, line.find(op) + 1, f"op must be inc, dec or zero, got {op!r}")
+            column = list(re.finditer(r"\S+", line))[2].start() + 1
+            raise ParseError(lineno, column, f"op must be inc, dec or zero, got {op!r}")
         actions.append(MinskyAction(src, int(idx), op, dst))
     return MinskyMachine(states, tuple(actions), init[0], final[0])
 
 
 _ACTION_LINE = re.compile(r"^\s*(\S+)\s+->\s+(\S+)\s+:\s*(.*?)\s*$")
 _PUSHPOP = re.compile(r"^(push|pop)\(([^\s:,()#]+)\)$")
+_PIECE = re.compile(r"(?:^|,)\s*([^,]*?)\s*(?=,|$)")  # one comma-separated instruction, blanks trimmed
 
 
-def _parse_instruction(token: str, lineno: int, line: str) -> Instruction:
+def _parse_instruction(token: str, lineno: int, column: int) -> Instruction:
     if token == "inc":
         return INC
     if token == "dec":
@@ -128,7 +131,7 @@ def _parse_instruction(token: str, lineno: int, line: str) -> Instruction:
     m = _PUSHPOP.match(token)
     if m:
         return push(m.group(2)) if m.group(1) == "push" else pop(m.group(2))
-    raise ParseError(lineno, line.find(token) + 1, f"unknown instruction {token!r}")
+    raise ParseError(lineno, column, f"unknown instruction {token!r}")
 
 
 def _parse_system_body(lines) -> tuple[Prvass, str | None]:
@@ -154,11 +157,11 @@ def _parse_system_body(lines) -> tuple[Prvass, str | None]:
         src, dst, rest = m.groups()
         body = []
         if rest:
-            for piece in rest.split(","):
-                piece = piece.strip()
-                if not piece:
-                    raise ParseError(lineno, line.find(",") + 1, "empty instruction in list")
-                body.append(_parse_instruction(piece, lineno, line))
+            for piece in _PIECE.finditer(rest):
+                column = m.start(3) + piece.start(1) + 1
+                if not piece.group(1):
+                    raise ParseError(lineno, column, "empty instruction in list")
+                body.append(_parse_instruction(piece.group(1), lineno, column))
         actions.append(Action(src, tuple(body), dst))
     return Prvass(states, stack, tuple(actions)), init
 

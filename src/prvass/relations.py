@@ -147,6 +147,8 @@ def compose_member(rs, mode: WeakMode, m: int, n: int, bound: int) -> bool:
     prod(factor of r for r in rs) times max(m, n) loses nothing.  The empty
     composition is the identity.
     """
+    if min(m, n, bound) < 0:
+        raise ValueError(f"composition membership is over naturals, got ({m}, {n}) with bound {bound}")
     if not rs:
         return m == n
     if mode is WeakMode.EXACT:

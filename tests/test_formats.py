@@ -123,6 +123,19 @@ def test_prvass_rejects_unknown_instruction():
     assert "warp" in str(exc.value)
 
 
+def test_action_line_errors_point_at_the_named_token():
+    cases = [
+        (parse_minsky, INC_DEC_TEXT, "s 0 inc q", "s7 7 inc q", 4),
+        (parse_minsky, INC_DEC_TEXT, "s 0 inc q", "sinc 0 in q", 8),
+        (parse_model_file, PRVASS_TEXT, "q1 -> q2 : pop(a), inc, inc", "s -> t : inc, in", 15),
+        (parse_model_file, PRVASS_TEXT, "q1 -> q2 : pop(a), inc, inc", "s -> t : push(a), inc,, dec", 23),
+    ]
+    for parse, text, old, new, column in cases:
+        with pytest.raises(ParseError) as exc:
+            parse(text.replace(old, new))
+        assert exc.value.column == column, new
+
+
 def test_unknown_pop_symbol_is_a_validation_diagnostic_not_a_parse_error():
     sys = parse_model_file(PRVASS_TEXT.replace("pop(a)", "pop(zz)")).system
     messages = [str(d) for d in validate(sys)]

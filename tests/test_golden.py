@@ -1,10 +1,11 @@
 """The corpus outputs of the CLI, pinned byte for byte.
 
-golden_corpus.json holds `compile --json` and the compiled file, and
-`diff --json`, for every corpus machine and, for each machine whose
-compiled side covers, `cover --json` and the bytes of the `--trace-out`
-file.  A refactor of the compiler or the search must reproduce them
-exactly.  To record them again from the code on the path, run
+golden_corpus.json holds `compile --json` and the compiled file,
+`diff --json`, and `simulate --json` on the machine and on the compiled
+file, for every corpus machine and, for each machine whose compiled side
+covers, `cover --json` and the bytes of the `--trace-out` file.  A
+refactor of the compiler or the search must reproduce them exactly.  To
+record them again from the code on the path, run
 `PYTHONPATH=src python tests/test_golden.py`.
 """
 
@@ -31,7 +32,7 @@ def _run(argv):
 
 def corpus_outputs(workdir: Path) -> dict:
     """Run the corpus inside workdir, so compile's stdout names its output file relatively."""
-    outputs = {"compile": {}, "diff": {}, "cover": {}}
+    outputs = {"compile": {}, "diff": {}, "cover": {}, "simulate": {}}
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
@@ -40,6 +41,8 @@ def corpus_outputs(workdir: Path) -> dict:
             system = f"{name}.prvass"
             compiled = outputs["compile"][name] = _run(["compile", str(path), system, "--json"])
             compiled["system"] = Path(system).read_bytes().decode("utf-8")
+            for model in (str(path), system):
+                outputs["simulate"][Path(model).name] = _run(["simulate", model, "--json"])
             diff = outputs["diff"][name] = _run(["diff", str(path), "--json"])
             if json.loads(diff["stdout"])["prvass"] != "covered":
                 continue

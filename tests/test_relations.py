@@ -170,5 +170,13 @@ def test_compose_member_reports_bound_escape():
 def test_weak_membership_argument_checks():
     with pytest.raises(ValueError):
         weak_member(rel_spec("m2"), WeakMode.EXACT, -1, 0)
+    for rs, mode, m, n, bound in (
+        ([rel_spec("m2")], WeakMode.EXACT, -3, -6, 100),
+        ([], WeakMode.EXACT, -1, -1, 100),
+        ([rel_spec("m2")], WeakMode.FORWARD_WEAK, 1, -1, 100),
+        ([rel_spec("m2")], WeakMode.BACKWARD_WEAK, 1, 2, -1),
+    ):
+        with pytest.raises(ValueError):
+            compose_member(rs, mode, m, n, bound)
     with pytest.raises(ValueError):
         is_strictly_monotone(rel_spec("m2"), 1)
