@@ -35,6 +35,7 @@ from .relations import (
     WeakMode,
     check_monotone_pairs_lemma,
     check_two_approximations,
+    compose_image,
     compose_member,
     godel_decode,
     godel_encode,

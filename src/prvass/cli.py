@@ -57,6 +57,13 @@ def _add_bounds_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=1, help="accepted and ignored: the search is serial")
 
 
+def _counter_pair(text: str) -> tuple[int, int]:
+    parts = text.split(",")
+    if len(parts) != 2 or not all(part.strip().isdecimal() for part in parts):
+        raise argparse.ArgumentTypeError(f"expects two naturals n0,n1, got {text!r}")
+    return int(parts[0]), int(parts[1])
+
+
 def _bounds_from(args) -> Bounds:
     return Bounds(args.max_steps, args.max_stack, args.max_counter, args.max_visited)
 
@@ -187,8 +194,7 @@ def cmd_simulate(args) -> int:
         reach = reachable_set(mf.system, start, bounds)
     else:
         state = args.state if args.state is not None else mf.machine.source
-        n0, n1 = (int(x) for x in args.counters.split(","))
-        start = MinskyConfig(state, (n0, n1))
+        start = MinskyConfig(state, args.counters)
         reach = reachable_set(mf.machine, start, bounds)
     states_seen = len({c.state for c in reach.configs})
     payload = {
@@ -291,7 +297,7 @@ def build_parser() -> _Parser:
     p.add_argument("--state", default=None, help="start state (default: the file's initial state)")
     p.add_argument("--stack", default="", help="comma-separated start stack, bottom first (prvass)")
     p.add_argument("--counter", type=int, default=0, help="start counter (prvass)")
-    p.add_argument("--counters", default="0,0", help="start counters n0,n1 (minsky)")
+    p.add_argument("--counters", type=_counter_pair, default="0,0", help="start counters n0,n1 (minsky)")
     p.add_argument("--json", action="store_true")
     _add_bounds_args(p)
     p.set_defaults(func=cmd_simulate)

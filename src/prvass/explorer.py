@@ -4,7 +4,12 @@ Coverability of a target state and reachability of a target counter pair
 are both undecidable in general, so every search here is bounded and the
 verdicts are honest about it: exhausted_no_cover is only reported when the
 frontier emptied and no successor was ever pruned by a bound, otherwise
-the outcome is bounds_hit.  Searches are breadth-first with a visited set
+the outcome is bounds_hit.  A search with a target also drops, before it
+starts, every action into a state with no control path to the target
+state (cone-of-influence reduction).  That relevance prune removes only
+configurations that can never reach the target, so it is not a bound:
+exhausted_no_cover still means that every configuration that could reach
+the target was enumerated.  Searches are breadth-first with a visited set
 keyed on the full configuration, which makes witnesses minimal in action
 count and results deterministic.  A stack-and-counter configuration is keyed
 by a (state, stack node, counter) triple whose stack is hash-consed, and is
@@ -14,7 +19,7 @@ decoded back into a Configuration only where a caller sees it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from .models import (
@@ -121,7 +126,7 @@ def _effect(body):
     return tuple(pops), tuple(pushes), need, reset, delta
 
 
-def _prvass_family(sys: Prvass, start: Configuration, b: Bounds):
+def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set):
     """The flat search of a stack-and-counter system.
 
     A search key is the triple (state, stack node, counter).  Stacks are
@@ -130,11 +135,13 @@ def _prvass_family(sys: Prvass, start: Configuration, b: Bounds):
     dict lookup, a pop one list read, and a key hashes in constant time.
     Actions are grouped by source state in one pass; a state's bodies are
     normalised by _effect the first time the state is expanded, so a search
-    that visits a few states pays for those alone.
+    that visits a few states pays for those alone.  Actions into a state
+    outside live are never grouped, so no key ever reaches such a state.
     """
     by_source: dict = {}
     for action in sys.actions:
-        by_source.setdefault(action.source, []).append(action)
+        if action.target in live:
+            by_source.setdefault(action.source, []).append(action)
     effects: dict = {}
     parent = [0]
     top = [None]
@@ -210,7 +217,11 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None 
     expand(key) yields (action, successor key) pairs in action declaration
     order, prune(key) says whether a bound drops the key, and decode(key)
     is the configuration a key stands for.  Two-counter configurations are
-    their own keys.  This is also the one place that checks the search's
+    their own keys.  When a target is named, expand leaves out every action
+    into a state with no control path to the target state: a configuration
+    there can never reach the target, so dropping it is exact and is not a
+    bound prune.  The actions are filtered once, here, so the prune costs
+    nothing per key.  This is also the one place that checks the search's
     inputs belong to the model: the start state and the target state, when
     one is named, must be declared, and every start stack symbol must be in
     the alphabet (one pass over the start stack, never one per expansion).
@@ -219,17 +230,34 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None 
     for what, state in (("target", target), ("start", start.state)):
         if state is not None and state not in states:
             raise ValueError(f"{what} state {state!r} not in the system")
+    live = states if target is None else _coreachable(model.actions, target)
     if isinstance(model, Prvass):
         alphabet = set(model.stack_alphabet)
         for symbol in start.stack:
             if symbol not in alphabet:
                 raise ValueError(f"start stack symbol {symbol!r} not in the stack alphabet")
-        return _prvass_family(model, start, b)
+        return _prvass_family(model, start, b, live)
 
     def prune(cfg):
         return cfg.counters[0] > b.max_counter or cfg.counters[1] > b.max_counter
 
-    return start, partial(minsky_successors, model), prune, _identity
+    relevant = replace(model, actions=tuple(a for a in model.actions if a.target in live))
+    return start, partial(minsky_successors, relevant), prune, _identity
+
+
+def _coreachable(actions, target: str) -> set:
+    """The states with a control path to target, by one backward pass over the actions."""
+    sources: dict = {}
+    for action in actions:
+        sources.setdefault(action.target, []).append(action.source)
+    live = {target}
+    todo = [target]
+    while todo:
+        for source in sources.get(todo.pop(), ()):
+            if source not in live:
+                live.add(source)
+                todo.append(source)
+    return live
 
 
 def _identity(cfg):
@@ -296,10 +324,12 @@ def bounded_cover(sys: Prvass, start: Configuration, target: str, b: Bounds) -> 
     """Breadth-first coverability: is any configuration with the target state reachable?
 
     Returns covered with a minimal action-count witness the moment a target
-    configuration is dequeued, exhausted_no_cover only when the full
-    reachable set within bounds was enumerated without pruning, and
-    bounds_hit otherwise.  Identical inputs give identical verdicts and
-    traces.
+    configuration is dequeued, exhausted_no_cover only when every reachable
+    configuration whose state has a control path to the target was
+    enumerated without a bound pruning any, and bounds_hit otherwise.
+    Configurations in states with no such path are never visited: they
+    cannot reach the target, so leaving them out never hides a cover.
+    Identical inputs give identical verdicts and traces.
     """
     start_key, expand, prune, decode = _family(sys, start, b, target)
     return _bfs(start_key, b, expand, prune, decode, lambda key: key[0] == target)

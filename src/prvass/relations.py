@@ -145,7 +145,8 @@ def compose_member(rs, mode: WeakMode, m: int, n: int, bound: int) -> bool:
     backward-weak chains admit witnesses whose intermediates stay within
     the largest exact preimages of the endpoint, so taking bound at least
     prod(factor of r for r in rs) times max(m, n) loses nothing.  The empty
-    composition is the identity.
+    composition is the identity.  A weak membership is a lookup in
+    compose_image.
     """
     if min(m, n, bound) < 0:
         raise ValueError(f"composition membership is over naturals, got ({m}, {n}) with bound {bound}")
@@ -162,6 +163,18 @@ def compose_member(rs, mode: WeakMode, m: int, n: int, bound: int) -> bool:
                     f"exact image {value} of {m} escapes intermediate bound {bound}"
                 )
         return value == n
+    return n in compose_image(rs, mode, m, bound)
+
+
+def compose_image(rs, mode: WeakMode, m: int, bound: int) -> set:
+    """The values n with (m, n) in the composition of rs under a weak mode, by enumeration.
+
+    Each relation's image is enumerated over [0, bound], so the set is
+    complete under the same condition on bound as in compose_member.  Build
+    it once to test many n against one m.
+    """
+    if min(m, bound) < 0:
+        raise ValueError(f"composition image is over naturals, got {m} with bound {bound}")
     values = {m}
     for r in rs:
         nxt = set()
@@ -172,8 +185,8 @@ def compose_member(rs, mode: WeakMode, m: int, n: int, bound: int) -> bool:
                     break
         values = nxt
         if not values:
-            return False
-    return n in values
+            break
+    return values
 
 
 def is_strictly_monotone(r, domain_bound: int) -> bool:

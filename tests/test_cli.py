@@ -206,6 +206,18 @@ def test_simulate_start_state_outside_the_model_exits_three(workdir, capsys):
     assert "COMPLETE" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("counters", ["1,2,3", "a,b", "-1,0", "5", ""])
+def test_simulate_bad_counters_names_the_flag(workdir, capsys, counters):
+    assert main(["simulate", str(workdir / "swap.minsky"), f"--counters={counters}"]) == 3
+    err = capsys.readouterr().err
+    assert "--counters" in err and "two naturals n0,n1" in err
+
+
+def test_simulate_counters_start_the_closure(workdir, capsys):
+    assert main(["simulate", str(workdir / "inc-dec.minsky"), "--counters", "2, 1"]) == 0
+    assert "COMPLETE=yes" in capsys.readouterr().out
+
+
 def test_simulate_start_stack_outside_the_alphabet_exits_three(workdir, capsys):
     system = _compile(workdir, "inc-dec")
     capsys.readouterr()

@@ -131,10 +131,18 @@ def test_empty_trace_replays():
     assert replay_trace(sys, Trace(Configuration("s", (), 0), ()))
 
 
+# NEVER_FIRES pops a symbol that the systems below never push: its action
+# gives the target an incoming control path, so the relevance prune keeps
+# every state live, yet it never fires and the target stays unreachable
+NEVER_FIRES = (pop("b"),)
+
+
 def test_depth_bound_downgrades_to_bounds_hit():
     # t is unreachable, but with the frontier still alive at the depth cap
     # the search may not claim exhaustion
-    sys = Prvass(("s", "t"), ("a",), (Action("s", (INC,), "s"),))
+    sys = Prvass(
+        ("s", "t"), ("a", "b"), (Action("s", (INC,), "s"), Action("s", NEVER_FIRES, "t"))
+    )
     hit = bounded_cover(sys, Configuration("s", (), 0), "t", Bounds(2, 64, 100, 1000))
     assert hit.outcome == BOUNDS_HIT
 
@@ -142,7 +150,9 @@ def test_depth_bound_downgrades_to_bounds_hit():
 def test_depth_bound_needs_a_dropped_successor():
     # the layer at the depth cap is expanded: u has no successor, so nothing
     # was dropped and the search is exhaustive at any depth cap
-    sys = Prvass(("s", "u", "t"), ("a",), (Action("s", (INC,), "u"),))
+    sys = Prvass(
+        ("s", "u", "t"), ("a", "b"), (Action("s", (INC,), "u"), Action("u", NEVER_FIRES, "t"))
+    )
     for max_steps in (1, 2):
         verdict = bounded_cover(sys, Configuration("s", (), 0), "t", Bounds(max_steps, 64, 100, 1000))
         assert verdict.outcome == EXHAUSTED_NO_COVER
@@ -166,16 +176,68 @@ def test_depth_bound_keeps_an_earlier_drop():
 
 
 def test_stack_cap_downgrades_to_bounds_hit():
-    sys = Prvass(("s", "t"), ("a",), (Action("s", (push("a"),), "s"),))
+    sys = Prvass(
+        ("s", "t"), ("a", "b"), (Action("s", (push("a"),), "s"), Action("s", NEVER_FIRES, "t"))
+    )
     verdict = bounded_cover(sys, Configuration("s", (), 0), "t", Bounds(10_000, 8, 100, 10_000))
     assert verdict.outcome == BOUNDS_HIT
 
 
 def test_visited_budget_downgrades_to_bounds_hit():
-    sys = Prvass(("s", "t"), ("a",), (Action("s", (INC,), "s"),))
+    sys = Prvass(
+        ("s", "t"), ("a", "b"), (Action("s", (INC,), "s"), Action("s", NEVER_FIRES, "t"))
+    )
     verdict = bounded_cover(sys, Configuration("s", (), 0), "t", Bounds(10_000, 8, 10_000, 5))
     assert verdict.outcome == BOUNDS_HIT
     assert verdict.stats.visited == 5
+
+
+# a pumping loop in p, which has no control path to t
+PUMP_AWAY = Prvass(
+    ("s", "p", "t"),
+    ("a",),
+    (Action("s", (INC,), "p"), Action("p", (INC, push("a")), "p"), Action("s", (DEC,), "t")),
+)
+PUMP_AWAY_MACHINE = MinskyMachine(
+    ("s", "p", "t"),
+    (
+        MinskyAction("s", 0, "inc", "p"),
+        MinskyAction("p", 1, "inc", "p"),
+        MinskyAction("s", 0, "dec", "t"),
+    ),
+    "s",
+    "t",
+)
+SMALL = Bounds(10_000, 8, 100, 1000)
+
+
+def test_pumping_loop_that_cannot_reach_the_target_is_not_a_bound():
+    # every configuration in p is dropped as irrelevant, so no bound fires
+    # on either family and the search exhausts at the start
+    for verdict in (
+        bounded_cover(PUMP_AWAY, Configuration("s", (), 0), "t", SMALL),
+        minsky_bounded_reach(PUMP_AWAY_MACHINE, SMALL),
+    ):
+        assert verdict.outcome == EXHAUSTED_NO_COVER
+        assert verdict.stats.visited == 1
+    # reachable_set has no target: on the same systems the loop still runs
+    # into the bounds
+    for closure in (
+        reachable_set(PUMP_AWAY, Configuration("s", (), 0), SMALL),
+        reachable_set(PUMP_AWAY_MACHINE, MinskyConfig("s", (0, 0)), SMALL),
+    ):
+        assert not closure.complete
+        assert any(cfg.state == "p" for cfg in closure.configs)
+
+
+def test_start_that_cannot_reach_the_target_visits_only_the_start():
+    verdict = bounded_cover(PUMP_AWAY, Configuration("p", (), 0), "t", SMALL)
+    assert verdict.outcome == EXHAUSTED_NO_COVER
+    assert verdict.stats.visited == 1
+    machine = MinskyMachine(PUMP_AWAY_MACHINE.states, PUMP_AWAY_MACHINE.actions, "p", "t")
+    verdict = minsky_bounded_reach(machine, SMALL)
+    assert verdict.outcome == EXHAUSTED_NO_COVER
+    assert verdict.stats.visited == 1
 
 
 def test_exhaustion_is_stable_under_doubled_bounds():

@@ -12,6 +12,7 @@ from prvass.relations import (
     _forward_ceilings,
     check_monotone_pairs_lemma,
     check_two_approximations,
+    compose_image,
     compose_member,
     rel_spec,
 )
@@ -81,6 +82,19 @@ def test_lemma_violated_by_broken_relation():
     assert n_back <= n and m_back > m
 
 
+def _assert_ceilings_match_enumeration(seq, domain, bound):
+    # compose_member(seq, mode, m, n, bound) is n in compose_image(seq, mode,
+    # m, bound), so each image is built once per m and tested for every n
+    fwd = _forward_ceilings(seq, domain)
+    bwd = _backward_ceilings(seq, domain)
+    for m in range(domain + 1):
+        forward = compose_image(seq, WeakMode.FORWARD_WEAK, m, bound)
+        backward = compose_image(seq, WeakMode.BACKWARD_WEAK, m, bound)
+        for n in range(domain + 1):
+            assert (n <= fwd[m]) == (n in forward)
+            assert (m <= bwd[n]) == (n in backward)
+
+
 def test_ceiling_tables_match_enumeration():
     # the section-ceiling fast path must agree with compose_member's dumb
     # enumeration; exhaustive for every sequence of length <= 2 on a small
@@ -90,12 +104,7 @@ def test_ceiling_tables_match_enumeration():
     specs = [rel_spec(sym) for sym in ALPHABET]
     for length in (1, 2):
         for seq in itertools.product(specs, repeat=length):
-            fwd = _forward_ceilings(seq, domain)
-            bwd = _backward_ceilings(seq, domain)
-            for m in range(domain + 1):
-                for n in range(domain + 1):
-                    assert (n <= fwd[m]) == compose_member(seq, WeakMode.FORWARD_WEAK, m, n, bound)
-                    assert (m <= bwd[n]) == compose_member(seq, WeakMode.BACKWARD_WEAK, m, n, bound)
+            _assert_ceilings_match_enumeration(seq, domain, bound)
 
 
 def test_ceiling_tables_match_enumeration_length_three_spot():
@@ -104,24 +113,20 @@ def test_ceiling_tables_match_enumeration_length_three_spot():
     specs = [rel_spec(sym) for sym in ALPHABET]
     picked = list(itertools.product(specs, repeat=3))[::18]  # every 18th of 216
     for seq in picked:
-        fwd = _forward_ceilings(seq, domain)
-        bwd = _backward_ceilings(seq, domain)
-        for m in range(domain + 1):
-            for n in range(domain + 1):
-                assert (n <= fwd[m]) == compose_member(seq, WeakMode.FORWARD_WEAK, m, n, bound)
-                assert (m <= bwd[n]) == compose_member(seq, WeakMode.BACKWARD_WEAK, m, n, bound)
+        _assert_ceilings_match_enumeration(seq, domain, bound)
 
 
 def test_identity_through_the_enumeration_route():
     # the same comparison check_two_approximations performs, but routed
-    # entirely through compose_member on a tiny rectangle
+    # entirely through the enumeration (compose_member, and compose_image
+    # for the weak modes) on a tiny rectangle
     for tokens in (("m2",), ("d3",), ("m2", "d2"), ("t2", "m3")):
         seq = [rel_spec(t) for t in tokens]
         bound = 9 ** len(seq) * 9
         for m in range(9):
+            both = compose_image(seq, WeakMode.FORWARD_WEAK, m, bound) & compose_image(
+                seq, WeakMode.BACKWARD_WEAK, m, bound
+            )
             for n in range(9):
                 exact = compose_member(seq, WeakMode.EXACT, m, n, bound)
-                both = compose_member(
-                    seq, WeakMode.FORWARD_WEAK, m, n, bound
-                ) and compose_member(seq, WeakMode.BACKWARD_WEAK, m, n, bound)
-                assert exact == both
+                assert exact == (n in both)

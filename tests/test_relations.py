@@ -6,6 +6,7 @@ from prvass.relations import (
     CompositionBoundError,
     DeltaSymbol,
     WeakMode,
+    compose_image,
     compose_member,
     godel_decode,
     godel_encode,
@@ -178,5 +179,8 @@ def test_weak_membership_argument_checks():
     ):
         with pytest.raises(ValueError):
             compose_member(rs, mode, m, n, bound)
+    for m, bound in ((-1, 100), (1, -1)):
+        with pytest.raises(ValueError):
+            compose_image([rel_spec("m2")], WeakMode.FORWARD_WEAK, m, bound)
     with pytest.raises(ValueError):
         is_strictly_monotone(rel_spec("m2"), 1)
