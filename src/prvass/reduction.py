@@ -240,17 +240,21 @@ def gadget_contract_set(
             f"enumeration from {start} exhausted bound {bound} before closure"
         )
     out = set()
+    records = {}  # one tuple per record word, shared by all of its exits
     for cfg in reach.configs:
         if cfg.state != g.exit or cfg.counter != 0:
             continue
         stack = cfg.stack
         if not stack or stack[0] != BOTTOM:
             raise GadgetBoundError(f"exit stack lost its bottom symbol: {stack}")
-        count = 0
-        while count < len(stack) and stack[len(stack) - 1 - count] == UNARY:
-            count += 1
-        marker_at = len(stack) - 1 - count
-        if marker_at < 1 or stack[marker_at] != MARKER:
+        # the a-block is everything above the last marker, and nothing but a
+        top_down = stack[::-1]
+        try:
+            count = top_down.index(MARKER)
+        except ValueError:
+            raise GadgetBoundError(f"exit stack lost its marker: {stack}") from None
+        if top_down[:count].count(UNARY) != count:
             raise GadgetBoundError(f"exit stack lost its marker: {stack}")
-        out.add((stack[1:marker_at], count))
+        rec = stack[1 : len(stack) - 1 - count]
+        out.add((records.setdefault(rec, rec), count))
     return out

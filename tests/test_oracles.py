@@ -1,14 +1,17 @@
 """Brute-force certification of the two-approximations identity and its lemma."""
 
 import itertools
+import random
 
 import pytest
 
+from prvass import relations
 from prvass.relations import (
     ALPHABET,
     TwoApproximationsReport,
     WeakMode,
     _backward_ceilings,
+    _checked_sequence,
     _forward_ceilings,
     check_monotone_pairs_lemma,
     check_two_approximations,
@@ -130,3 +133,81 @@ def test_identity_through_the_enumeration_route():
             for n in range(9):
                 exact = compose_member(seq, WeakMode.EXACT, m, n, bound)
                 assert exact == (n in both)
+
+
+# the per-cell scan check_two_approximations replaced, in the order the
+# report promises; it reads the tables through the module, so a test can
+# swap in wrong ones
+
+
+def _two_approximations_by_cell(rs, domain_bound):
+    rs = _checked_sequence(rs, domain_bound)
+    exact = relations._exact_values(rs, domain_bound)
+    fwd = relations._forward_ceilings(rs, domain_bound)
+    bwd = relations._backward_ceilings(rs, domain_bound)
+    for m in range(domain_bound + 1):
+        for n in range(domain_bound + 1):
+            if (exact[m] == n) != (n <= fwd[m] and m <= bwd[n]):
+                return (rs, domain_bound, False, (m, n))
+    return (rs, domain_bound, True, None)
+
+
+def _two_approximations_fields(rs, domain_bound):
+    r = check_two_approximations(rs, domain_bound)
+    return (r.sequence, r.domain_bound, r.holds, r.counterexample)
+
+
+def _random_finite_sequences(count, seed):
+    # sequences of 1-3 arbitrary partial functions on [0, 12]: no
+    # monotonicity, no downward closure
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        seq = []
+        for _ in range(rng.randint(1, 3)):
+            domain = rng.sample(range(13), rng.randint(0, 13))
+            seq.append(_FiniteRelation((p, rng.randint(0, 12)) for p in domain))
+        out.append(seq)
+    return out
+
+
+def test_identity_checker_matches_the_cell_scan():
+    specs = [rel_spec(sym) for sym in ALPHABET]
+    for domain in (0, 1, 7, 40):
+        for seq in (seq for k in (1, 2, 3) for seq in itertools.product(specs, repeat=k)):
+            assert _two_approximations_fields(seq, domain) == _two_approximations_by_cell(seq, domain)
+    failed = 0
+    for seq in _random_finite_sequences(1200, seed=20190):
+        for domain in (0, 1, 5, 13):
+            want = _two_approximations_by_cell(seq, domain)
+            assert _two_approximations_fields(seq, domain) == want
+            failed += not want[2]
+    # the first counterexample is compared, not only holds
+    assert failed > 100
+
+
+def test_identity_checker_matches_the_cell_scan_on_wrong_tables(monkeypatch):
+    # with right tables the exact pair always lies in both weak rows, so
+    # part of each row decision only shows on tables that break that
+    rng = random.Random(4242)
+    specs = [rel_spec(sym) for sym in ALPHABET]
+    domain = 7
+    failed = 0
+    for seq in (seq for k in (1, 2, 3) for seq in itertools.product(specs, repeat=k)):
+        exact = relations._exact_values(seq, domain)
+        fwd = _forward_ceilings(seq, domain)
+        bwd = _backward_ceilings(seq, domain)
+        for table, choices in (
+            (exact, [None, *range(domain + 3)]),
+            (fwd, range(-1, 2 * domain)),
+            (bwd, range(-1, 2 * domain)),
+        ):
+            if rng.random() < 0.7:
+                table[rng.randrange(domain + 1)] = rng.choice(choices)
+        monkeypatch.setattr(relations, "_exact_values", lambda rs, d: list(exact))
+        monkeypatch.setattr(relations, "_forward_ceilings", lambda rs, d: list(fwd))
+        monkeypatch.setattr(relations, "_backward_ceilings", lambda rs, d: list(bwd))
+        want = _two_approximations_by_cell(seq, domain)
+        assert _two_approximations_fields(seq, domain) == want
+        failed += not want[2]
+    assert failed > 50

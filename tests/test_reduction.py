@@ -19,6 +19,7 @@ from prvass.models import (
 from prvass.reduction import (
     BACKWARD,
     FORWARD,
+    Gadget,
     GadgetBoundError,
     InvalidModelError,
     STACK_ALPHABET,
@@ -127,6 +128,34 @@ def test_contract_equality_small_grid():
 def test_contract_bound_exhaustion_raises():
     with pytest.raises(GadgetBoundError):
         gadget_contract_set(_gadget("m3", FORWARD), 10, (), 4)
+
+
+def _one_action_gadget(body):
+    # a hand-built gadget whose single action goes straight from entry to exit
+    return Gadget("e1", "e3", ("e2",), (Action("e1", body, "e3"),), parse_delta_token("m2"), FORWARD)
+
+
+@pytest.mark.parametrize(
+    "body, m, record, message",
+    [
+        ((pop("hash"), pop("bot")), 0, (), r"lost its bottom symbol: \(\)"),
+        ((pop("hash"), pop("bot"), push("hash")), 0, (), "lost its bottom symbol"),
+        ((pop("hash"),), 0, (), r"lost its marker: \('bot',\)"),
+        ((pop("a"), pop("a"), pop("hash")), 2, ("m2",), "lost its marker"),
+        # a record symbol above the marker, alone or under an a-run
+        ((push("m2"),), 0, (), "lost its marker"),
+        ((push("m2"), push("a")), 1, ("d2",), "lost its marker"),
+    ],
+)
+def test_contract_exit_stack_out_of_shape_raises(body, m, record, message):
+    with pytest.raises(GadgetBoundError, match=message):
+        gadget_contract_set(_one_action_gadget(body), m, record, 20)
+
+
+def test_contract_decomposes_at_the_last_marker():
+    got = gadget_contract_set(_one_action_gadget(()), 3, ("m2", "hash", "d3"), 20)
+    assert got == {(("m2", "hash", "d3"), 3)}
+    assert gadget_contract_set(_one_action_gadget((pop("a"),)), 1, (), 20) == {((), 0)}
 
 
 def _inc_dec_machine():

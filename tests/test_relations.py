@@ -120,6 +120,14 @@ class _FiniteRelation:
 
 def test_broken_relation_is_not_monotone():
     assert not is_strictly_monotone(_FiniteRelation([(0, 1), (1, 0)]), 10)
+    # equal images
+    assert not is_strictly_monotone(_FiniteRelation([(0, 1), (1, 1)]), 10)
+    # a gap in the domain between the crossing pairs
+    assert not is_strictly_monotone(_FiniteRelation([(0, 2), (5, 1)]), 10)
+    # the first pair crosses the last one
+    assert not is_strictly_monotone(_FiniteRelation([(0, 5), (1, 6), (2, 7), (3, 1)]), 10)
+    # a crossing beyond the domain bound is not looked at
+    assert is_strictly_monotone(_FiniteRelation([(0, 5), (1, 6), (2, 7), (3, 1)]), 2)
 
 
 def test_minsky_action_to_symbol_table():
