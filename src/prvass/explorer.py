@@ -13,14 +13,15 @@ the target was enumerated.  Searches are breadth-first with a visited set
 keyed on the full configuration, which makes witnesses minimal in action
 count and results deterministic.  A stack-and-counter configuration is keyed
 by a (state, stack node, counter) triple whose stack is hash-consed, and is
-decoded back into a Configuration only where a caller sees it.
+decoded back into a Configuration only where a caller sees it.  The search
+core handles keys alone: it records each visited key's parent key, and the
+actions of a witness are recovered only once the witness is found.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 
 from .models import (
     DEC_KIND,
@@ -137,6 +138,10 @@ def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set):
     normalised by _effect the first time the state is expanded, so a search
     that visits a few states pays for those alone.  Actions into a state
     outside live are never grouped, so no key ever reaches such a state.
+    expand computes each successor's stack height and counter anyway, so it
+    applies the stack and counter caps itself and gives None for a dropped
+    successor.  label(key, succ) fires the key's compiled effects one at a
+    time, in declaration order, until one gives succ.
     """
     by_source: dict = {}
     for action in sys.actions:
@@ -170,13 +175,14 @@ def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set):
         kids = children.setdefault(symbol, {})
         node = kids.get(node) or grow(node, symbol, kids)
 
-    def expand(key):
+    max_stack, max_counter = b.max_stack, b.max_counter
+
+    def expand(key, compiled=None):
         state, node, counter = key
-        compiled = effects.get(state)
         if compiled is None:
-            compiled = compile_state(state)
+            compiled = effects[state] if state in effects else compile_state(state)
         out = []
-        for action, target, pops, pushes, need, reset, delta in compiled:
+        for _, target, pops, pushes, need, reset, delta in compiled:
             if counter < need:
                 continue
             n = node
@@ -187,13 +193,12 @@ def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set):
             else:
                 for symbol, kids in pushes:
                     n = kids.get(n) or grow(n, symbol, kids)
-                out.append((action, (target, n, delta if reset else counter + delta)))
+                c = delta if reset else counter + delta
+                out.append((target, n, c) if height[n] <= max_stack and c <= max_counter else None)
         return out
 
-    max_stack, max_counter = b.max_stack, b.max_counter
-
-    def prune(key):
-        return height[key[1]] > max_stack or key[2] > max_counter
+    def label(key, succ):
+        return next(effect[0] for effect in effects[key[0]] if expand(key, (effect,)) == [succ])
 
     words: dict = {0: ()}
 
@@ -208,23 +213,26 @@ def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set):
             word = words[n] = word + (top[n],)
         return Configuration(state, word, counter)
 
-    return (start.state, node, start.counter), expand, prune, decode
+    return (start.state, node, start.counter), expand, label, decode
 
 
 def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None = None):
-    """The model family's (start key, expand, prune, decode); the one place the search dispatches on it.
+    """The model family's (start key, expand, label, decode); the one place the search dispatches on it.
 
-    expand(key) yields (action, successor key) pairs in action declaration
-    order, prune(key) says whether a bound drops the key, and decode(key)
-    is the configuration a key stands for.  Two-counter configurations are
-    their own keys.  When a target is named, expand leaves out every action
-    into a state with no control path to the target state: a configuration
-    there can never reach the target, so dropping it is exact and is not a
-    bound prune.  The actions are filtered once, here, so the prune costs
-    nothing per key.  This is also the one place that checks the search's
-    inputs belong to the model: the start state and the target state, when
-    one is named, must be declared, and every start stack symbol must be in
-    the alphabet (one pass over the start stack, never one per expansion).
+    expand(key) lists the successor keys in action declaration order, with
+    None for each successor that a stack or counter cap drops; label(key,
+    succ) is the first action, in declaration order, that takes key to succ;
+    decode(key) is the configuration a key stands for.  Two-counter
+    configurations are their own keys.  A start that itself violates a cap
+    cannot be expanded honestly, so it expands to one dropped successor.
+    When a target is named, expand leaves out every action into a state with
+    no control path to the target state: a configuration there can never
+    reach the target, so dropping it is exact and is not a bound prune.  The
+    actions are filtered once, here, so the prune costs nothing per key.
+    This is also the one place that checks the search's inputs belong to the
+    model: the start state and the target state, when one is named, must be
+    declared, and every start stack symbol must be in the alphabet (one pass
+    over the start stack, never one per expansion).
     """
     states = set(model.states)
     for what, state in (("target", target), ("start", start.state)):
@@ -236,13 +244,22 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None 
         for symbol in start.stack:
             if symbol not in alphabet:
                 raise ValueError(f"start stack symbol {symbol!r} not in the stack alphabet")
-        return _prvass_family(model, start, b, live)
+        start_key, expand, label, decode = _prvass_family(model, start, b, live)
+        over_cap = len(start.stack) > b.max_stack or start.counter > b.max_counter
+    else:
+        relevant = replace(model, actions=tuple(a for a in model.actions if a.target in live))
+        cap = b.max_counter
 
-    def prune(cfg):
-        return cfg.counters[0] > b.max_counter or cfg.counters[1] > b.max_counter
+        def expand(cfg):
+            return [c if c.counters[0] <= cap and c.counters[1] <= cap else None
+                    for _, c in minsky_successors(relevant, cfg)]
 
-    relevant = replace(model, actions=tuple(a for a in model.actions if a.target in live))
-    return start, partial(minsky_successors, relevant), prune, _identity
+        def label(cfg, succ):
+            return next(action for action, c in minsky_successors(relevant, cfg) if c == succ)
+
+        start_key, decode = start, _identity
+        over_cap = max(start.counters) > cap
+    return start_key, (lambda key: [None]) if over_cap else expand, label, decode
 
 
 def _coreachable(actions, target: str) -> set:
@@ -264,12 +281,14 @@ def _identity(cfg):
     return cfg
 
 
-def _bfs(start, b: Bounds, expand, prune, decode, is_target) -> Verdict:
+def _bfs(start, b: Bounds, expand, label, decode, is_target) -> Verdict:
     """Layered breadth-first search core shared by all searches.
 
-    start, expand, prune and decode come from _family, and the search runs
-    on its keys; is_target sees every dequeued key, in order, and only the
-    witness is decoded.  The layer at depth max_steps is expanded only to
+    start, expand, label and decode come from _family, and the search runs
+    on its keys alone: it stores each visited key's parent key and nothing
+    else.  is_target sees every dequeued key, in order; only the witness is
+    decoded, and label names its actions.  A None from expand is a successor
+    that a cap dropped.  The layer at depth max_steps is expanded only to
     learn whether a successor would be dropped; none of its successors is
     visited.
     """
@@ -283,35 +302,25 @@ def _bfs(start, b: Bounds, expand, prune, decode, is_target) -> Verdict:
         for key in layer:
             if is_target(key):
                 steps = []
-                cur = key
-                while parents[cur] is not None:
-                    prev, action = parents[cur]
-                    steps.append((action, decode(cur)))
-                    cur = prev
+                while (prev := parents[key]) is not None:
+                    steps.append((label(prev, key), decode(key)))
+                    key = prev
                 steps.reverse()
                 stats = SearchStats(len(parents), frontier_peak, time.perf_counter() - t0)
                 return Verdict(COVERED, Trace(decode(start), tuple(steps)), stats)
-        if depth == 0 and prune(start):
-            # the start configuration itself violates a cap: nothing can
-            # be expanded honestly
-            pruned = True
-            break
         if depth >= b.max_steps:
-            # an earlier drop already forbids an exhaustion claim
-            pruned = pruned or any(succ not in parents for key in layer for _, succ in expand(key))
+            # an earlier drop already forbids an exhaustion claim; None is never a key
+            pruned = pruned or any(succ not in parents for key in layer for succ in expand(key))
             break
         next_layer = []
         for key in layer:
-            for action, succ in expand(key):
+            for succ in expand(key):
                 if succ in parents:
                     continue
-                if prune(succ):
+                if succ is None or len(parents) >= b.max_visited:
                     pruned = True
                     continue
-                if len(parents) >= b.max_visited:
-                    pruned = True
-                    continue
-                parents[succ] = (key, action)
+                parents[succ] = key
                 next_layer.append(succ)
         depth += 1
         frontier_peak = max(frontier_peak, len(next_layer))
@@ -331,15 +340,15 @@ def bounded_cover(sys: Prvass, start: Configuration, target: str, b: Bounds) -> 
     cannot reach the target, so leaving them out never hides a cover.
     Identical inputs give identical verdicts and traces.
     """
-    start_key, expand, prune, decode = _family(sys, start, b, target)
-    return _bfs(start_key, b, expand, prune, decode, lambda key: key[0] == target)
+    start_key, expand, label, decode = _family(sys, start, b, target)
+    return _bfs(start_key, b, expand, label, decode, lambda key: key[0] == target)
 
 
 def minsky_bounded_reach(m: MinskyMachine, b: Bounds) -> Verdict:
     """Bounded search for the exact configuration (target, 0, 0) from (source, 0, 0)."""
     start, goal = MinskyConfig(m.source, (0, 0)), MinskyConfig(m.target, (0, 0))
-    start_key, expand, prune, decode = _family(m, start, b, m.target)
-    return _bfs(start_key, b, expand, prune, decode, lambda c: c == goal)
+    start_key, expand, label, decode = _family(m, start, b, m.target)
+    return _bfs(start_key, b, expand, label, decode, lambda c: c == goal)
 
 
 @dataclass(frozen=True)
@@ -358,9 +367,9 @@ def reachable_set(sys: Prvass | MinskyMachine, start, b: Bounds) -> ReachableSet
     event, i.e. the returned tuple really is the whole reachable set.
     """
     keys: list = []
-    start_key, expand, prune, decode = _family(sys, start, b)
+    start_key, expand, label, decode = _family(sys, start, b)
     # keys.append returns None, so no key is a target and every dequeued key is kept
-    verdict = _bfs(start_key, b, expand, prune, decode, keys.append)
+    verdict = _bfs(start_key, b, expand, label, decode, keys.append)
     return ReachableSet(tuple(map(decode, keys)), verdict.outcome == EXHAUSTED_NO_COVER, verdict.stats)
 
 

@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -240,6 +242,46 @@ def test_start_that_cannot_reach_the_target_visits_only_the_start():
     assert verdict.stats.visited == 1
 
 
+def test_start_over_a_cap_is_visited_but_never_expanded():
+    # a start that violates a cap cannot be expanded honestly: the search
+    # visits it alone and may claim neither exhaustion nor completeness
+    sys = Prvass(("s", "t"), ("a",), (Action("s", (INC,), "s"), Action("s", (pop("a"),), "t")))
+    for start, b in (
+        (Configuration("s", ("a",) * 9, 0), Bounds(1000, 8, 100, 1000)),
+        (Configuration("s", (), 101), Bounds(1000, 64, 100, 1000)),
+    ):
+        verdict = bounded_cover(sys, start, "t", b)
+        assert verdict.outcome == BOUNDS_HIT
+        assert verdict.stats.visited == 1
+        closure = reachable_set(sys, start, b)
+        assert closure.configs == (start,)
+        assert not closure.complete
+        assert closure.stats.visited == 1
+        # a start already in the target state covers before any expansion
+        covered = bounded_cover(sys, replace(start, state="t"), "t", b)
+        assert covered.outcome == COVERED
+        assert covered.trace.steps == ()
+    machine = MinskyMachine(("s", "t"), (MinskyAction("s", 0, "inc", "t"),), "s", "t")
+    start = MinskyConfig("s", (101, 0))
+    closure = reachable_set(machine, start, Bounds(1000, 64, 100, 1000))
+    assert closure.configs == (start,)
+    assert not closure.complete
+
+
+def test_witness_names_the_first_declared_action_of_a_tie():
+    # both actions take (s, ε, 0) to (t, ε, 0); the witness names the one
+    # declared first, whichever that is
+    loop, empty = Action("s", (INC, DEC), "t"), Action("s", (), "t")
+    for first, second in ((loop, empty), (empty, loop)):
+        sys = Prvass(("s", "t"), ("a",), (first, second))
+        verdict = bounded_cover(sys, Configuration("s", (), 0), "t", GENEROUS)
+        assert verdict.trace.steps == ((first, Configuration("t", (), 0)),)
+    zero0, zero1 = MinskyAction("s", 0, "zero", "t"), MinskyAction("s", 1, "zero", "t")
+    for first, second in ((zero0, zero1), (zero1, zero0)):
+        verdict = minsky_bounded_reach(MinskyMachine(("s", "t"), (first, second), "s", "t"), GENEROUS)
+        assert verdict.trace.steps == ((first, MinskyConfig("t", (0, 0))),)
+
+
 def test_exhaustion_is_stable_under_doubled_bounds():
     m = load_machine("zero-gate-blocked")
     compiled = compile_machine(m)
@@ -285,7 +327,8 @@ def test_visited_set_matches_naive_fixpoint():
 def test_flat_effects_match_the_reference_semantics():
     # every body of up to 4 instructions, fired from every stack of height
     # <= 3 over {a, b} and every counter 0-3: the flat expander's decoded
-    # successors are models.successors, in the same order
+    # successors are models.successors, in the same order and multiplicity,
+    # and label names the first action that yields each of them
     instructions = (push("a"), push("b"), pop("a"), pop("b"), INC, DEC, RESET)
     bodies = [body for n in range(5) for body in itertools.product(instructions, repeat=n)]
     sys = Prvass(("s", "t"), ("a", "b"), tuple(Action("s", body, "t") for body in bodies))
@@ -293,9 +336,15 @@ def test_flat_effects_match_the_reference_semantics():
         for stack in itertools.product("ab", repeat=height):
             for counter in range(4):
                 start = Configuration("s", stack, counter)
-                start_key, expand, _, decode = _family(sys, start, GENEROUS)
-                flat = [(action, decode(key)) for action, key in expand(start_key)]
-                assert flat == successors(sys, start), start
+                start_key, expand, label, decode = _family(sys, start, GENEROUS)
+                keys = expand(start_key)
+                reference = successors(sys, start)
+                assert [decode(key) for key in keys] == [cfg for _, cfg in reference], start
+                first: dict = {}
+                for action, cfg in reference:
+                    first.setdefault(cfg, action)
+                for key in dict.fromkeys(keys):
+                    assert label(start_key, key) == first[decode(key)], (start, decode(key))
 
 
 def _reference_closure(sys, start, b):
@@ -334,18 +383,33 @@ def test_closure_order_matches_reference_bfs(name, b, complete):
     assert list(reach.configs) == _reference_closure(compiled.system, start, b)
 
 
+def _deep_cover_args():
+    """The benchmark's deep-cover search: compiled big-counter at stack cap 96."""
+    compiled = compile_machine(load_machine("big-counter"))
+    start = Configuration(compiled.start, (), 0)
+    return compiled.system, start, compiled.cover_target, Bounds(1_000_000, 96, 10_000, 1_000_000)
+
+
 def test_big_counter_count_fence():
     # the counts of the benchmark's deep-cover search; any change to the
     # search order or the dedup moves them
-    compiled = compile_machine(load_machine("big-counter"))
-    verdict = bounded_cover(
-        compiled.system,
-        Configuration(compiled.start, (), 0),
-        compiled.cover_target,
-        Bounds(1_000_000, 96, 10_000, 1_000_000),
-    )
+    verdict = bounded_cover(*_deep_cover_args())
     assert verdict.outcome == BOUNDS_HIT
     assert (verdict.stats.visited, verdict.stats.frontier_peak) == (123_434, 548)
+
+
+def test_big_counter_memory_fence():
+    # the search keeps one parent key per visited key, about 13 MiB at its
+    # peak here; a (key, action) tuple per visited key lifts it to about 19 MiB
+    args = _deep_cover_args()
+    tracemalloc.start()
+    try:
+        verdict = bounded_cover(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.stats.visited == 123_434
+    assert peak < 15 * 2**20
 
 
 def test_no_reachable_configuration_has_negative_counter():
