@@ -15,7 +15,9 @@ A gadget's internal wiring is a design choice; only its end-to-end
 contract is normative, namely that the set of exit configurations from a
 given entry equals the weak-membership predicate of its operation symbol.
 gadget_contract_set computes that set exhaustively and is the oracle the
-test suite compares against weak_member.
+test suite compares against weak_member.  The wiring depends only on the
+symbol and the direction, so it is kept as a name-free shape table built
+once at import, and each gadget applies its own state names to a shape.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .models import (
     Configuration,
     DEC,
     INC,
+    Instruction,
     MinskyAction,
     MinskyMachine,
     Prvass,
@@ -37,7 +40,7 @@ from .models import (
     validate,
 )
 from .explorer import Bounds, reachable_set
-from .relations import ALPHABET, DeltaSymbol, DIV, MULT, minsky_action_to_symbol
+from .relations import ALPHABET, DeltaSymbol, DIV, MULT, TEST, minsky_action_to_symbol
 
 BOTTOM = "bot"
 MARKER = "hash"
@@ -68,6 +71,45 @@ class Gadget:
     symbol: DeltaSymbol
     direction: str
 
+    def __hash__(self) -> int:
+        # the names alone tell the gadgets of one compiled system apart, so
+        # hashing them spares hashing every action body; __eq__ stays field-wise
+        return hash((self.entry, self.exit, self.direction))
+
+
+def _shape(sym: DeltaSymbol, direction: str) -> tuple[tuple[int, tuple[Instruction, ...], int], ...]:
+    """The name-free wiring of one gadget: (source role, body, target role) per action.
+
+    Roles 0, 1 and 2 stand for the entry, the internal state and the exit.
+    """
+    f = sym.factor
+    consume_one = (pop(UNARY),) + (INC,) * f
+    consume_group = (pop(UNARY),) * f + (INC,)
+    if sym.kind == MULT:
+        loop = consume_one if direction == FORWARD else consume_group
+    elif sym.kind == DIV:
+        loop = consume_group if direction == FORWARD else consume_one
+    else:
+        loop = (pop(UNARY),) * f + (INC,) * f
+
+    if direction == FORWARD:
+        record = (pop(MARKER), push(sym.token), push(MARKER))
+    else:
+        record = (pop(MARKER), pop(sym.token), push(MARKER))
+
+    if sym.kind == TEST:
+        # one middle action per non-zero remainder g, clearing g leftover
+        # a symbols while preserving the count in the counter
+        middles = tuple((0, (pop(UNARY),) * g + (INC,) * g + record, 1) for g in range(1, f))
+    else:
+        middles = ((0, record, 1),)
+
+    return ((0, loop, 0),) + middles + ((1, (DEC, push(UNARY)), 1), (1, (RESET,), 2))
+
+
+# every gadget of one (symbol, direction) has the same wiring; only the names differ
+_SHAPES = {(sym, d): _shape(sym, d) for sym in ALPHABET for d in (FORWARD, BACKWARD)}
+
 
 def build_gadget(sym: DeltaSymbol, direction: str, namer: Callable[[str], str]) -> Gadget:
     """Construct the gadget for one operation symbol.
@@ -83,41 +125,16 @@ def build_gadget(sym: DeltaSymbol, direction: str, namer: Callable[[str], str]) 
     and run the transposed arithmetic, so a backward multiplication
     consumes a symbols in groups of the factor and a backward division
     produces up to factor-many per consumed symbol.
+
+    The wiring depends only on the symbol and the direction, so it is built
+    once per pair at import as a name-free shape; this function asks namer
+    for the names of roles q1, q2 and q3, in that order, and puts them in.
     """
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"unknown direction: {direction!r}")
-    f = sym.factor
-    q1, q2, q3 = namer("q1"), namer("q2"), namer("q3")
-
-    consume_one = (pop(UNARY),) + (INC,) * f
-    consume_group = (pop(UNARY),) * f + (INC,)
-    if sym.kind == MULT:
-        loop = consume_one if direction == FORWARD else consume_group
-    elif sym.kind == DIV:
-        loop = consume_group if direction == FORWARD else consume_one
-    else:
-        loop = (pop(UNARY),) * f + (INC,) * f
-
-    if direction == FORWARD:
-        record = (pop(MARKER), push(sym.token), push(MARKER))
-    else:
-        record = (pop(MARKER), pop(sym.token), push(MARKER))
-
-    if sym.kind == "test":
-        # one middle action per non-zero remainder g, clearing g leftover
-        # a symbols while preserving the count in the counter
-        middles = tuple(
-            Action(q1, (pop(UNARY),) * g + (INC,) * g + record, q2) for g in range(1, f)
-        )
-    else:
-        middles = (Action(q1, record, q2),)
-
-    actions = (
-        (Action(q1, loop, q1),)
-        + middles
-        + (Action(q2, (DEC, push(UNARY)), q2), Action(q2, (RESET,), q3))
-    )
-    return Gadget(q1, q3, (q2,), actions, sym, direction)
+    names = (namer("q1"), namer("q2"), namer("q3"))
+    actions = tuple(Action(names[i], body, names[j]) for i, body, j in _SHAPES[sym, direction])
+    return Gadget(names[0], names[2], (names[1],), actions, sym, direction)
 
 
 @dataclass(frozen=True)

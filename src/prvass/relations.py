@@ -394,12 +394,21 @@ def godel_decode(v: int) -> tuple[int, int] | None:
     return (n0, n1) if v == 1 else None
 
 
+# the shared ALPHABET member for each (machine op, factor)
+_OP_SYMBOL = {
+    (op, sym.factor): sym
+    for op, kind in (("inc", MULT), ("dec", DIV), ("zero", TEST))
+    for sym in ALPHABET
+    if sym.kind == kind
+}
+
+
 def minsky_action_to_symbol(a) -> DeltaSymbol:
     """The operation symbol an action performs on the counter-pair encoding.
 
     Counter 0 lives in the exponent of 2 and counter 1 in the exponent of
     3, so increment is mult, decrement is div, and a zero-test is the
-    divisibility test by the counter's prime.
+    divisibility test by the counter's prime.  The result is the ALPHABET
+    member itself, not a copy.
     """
-    kind = {"inc": MULT, "dec": DIV, "zero": TEST}[a.op]
-    return DeltaSymbol(kind, 2 if a.counter_index == 0 else 3)
+    return _OP_SYMBOL[a.op, 2 if a.counter_index == 0 else 3]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -27,7 +28,16 @@ from prvass.reduction import (
     compile_machine,
     gadget_contract_set,
 )
-from prvass.relations import ALPHABET, WeakMode, parse_delta_token, rel_spec, weak_member
+from prvass.relations import (
+    ALPHABET,
+    DIV,
+    MULT,
+    TEST,
+    WeakMode,
+    parse_delta_token,
+    rel_spec,
+    weak_member,
+)
 
 
 def _gadget(token, direction, prefix="g"):
@@ -72,8 +82,55 @@ def test_forward_test3_has_one_middle_action_per_remainder():
 
 
 def test_gadget_direction_validation():
+    calls = []
     with pytest.raises(ValueError):
-        build_gadget(parse_delta_token("m2"), "sideways", lambda role: role)
+        build_gadget(parse_delta_token("m2"), "sideways", calls.append)
+    assert calls == []
+
+
+def _reference_gadget(sym, direction, namer):
+    # the wiring as it was written before gadgets were instantiated from a
+    # shared shape table: every instruction built afresh for every gadget
+    f = sym.factor
+    q1, q2, q3 = namer("q1"), namer("q2"), namer("q3")
+    consume_one = (pop("a"),) + (INC,) * f
+    consume_group = (pop("a"),) * f + (INC,)
+    if sym.kind == MULT:
+        loop = consume_one if direction == FORWARD else consume_group
+    elif sym.kind == DIV:
+        loop = consume_group if direction == FORWARD else consume_one
+    else:
+        loop = (pop("a"),) * f + (INC,) * f
+    if direction == FORWARD:
+        record = (pop("hash"), push(sym.token), push("hash"))
+    else:
+        record = (pop("hash"), pop(sym.token), push("hash"))
+    if sym.kind == TEST:
+        middles = tuple(Action(q1, (pop("a"),) * g + (INC,) * g + record, q2) for g in range(1, f))
+    else:
+        middles = (Action(q1, record, q2),)
+    actions = (
+        (Action(q1, loop, q1),)
+        + middles
+        + (Action(q2, (DEC, push("a")), q2), Action(q2, (RESET,), q3))
+    )
+    return Gadget(q1, q3, (q2,), actions, sym, direction)
+
+
+@pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+@pytest.mark.parametrize("sym", ALPHABET, ids=str)
+def test_gadget_matches_the_reference_wiring(sym, direction):
+    roles = []
+
+    def namer(role):
+        roles.append(role)
+        return f"x/{role}"
+
+    got = build_gadget(sym, direction, namer)
+    assert roles == ["q1", "q2", "q3"]
+    want = _reference_gadget(sym, direction, lambda role: f"x/{role}")
+    for field in dataclasses.fields(Gadget):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
 
 
 def test_contract_forward_mult2_from_three():
@@ -195,6 +252,28 @@ def test_compile_structure():
     entered = [a.target for a in sys.actions if a.source == replay and a.body == ()]
     assert len(entered) == len(ALPHABET)
     assert len(compiled.bookkeeping) == len(ALPHABET) + 2
+
+
+def test_gadget_hash_agrees_with_equality():
+    # two actions of one symbol give two forward gadgets of the same shape
+    m = MinskyMachine(
+        ("s", "p", "t"),
+        (MinskyAction("s", 0, "inc", "p"), MinskyAction("p", 0, "inc", "t")),
+        "s",
+        "t",
+    )
+    first, second = compile_machine(m).bookkeeping, compile_machine(m).bookkeeping
+    assert len(first) == len(ALPHABET) + len(m.actions)
+    assert list(first.items()) == list(second.items())
+    for g, h in zip(first, second):
+        assert g == h and hash(g) == hash(h)
+        assert hash(dataclasses.replace(g)) == hash(g)
+    # the same names wired for another symbol: equal hashes, unequal gadgets
+    mult = _gadget("m2", FORWARD)
+    div = _gadget("d2", FORWARD)
+    assert hash(mult) == hash(div) and mult != div
+    shared = {mult: "m2", div: "d2"}
+    assert len(shared) == 2 and shared[mult] == "m2" and shared[div] == "d2"
 
 
 def test_compile_renames_extra_states_on_collision():

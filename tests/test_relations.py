@@ -140,7 +140,10 @@ def test_minsky_action_to_symbol_table():
         (1, "zero"): "t3",
     }
     for (c, op), token in cases.items():
-        assert minsky_action_to_symbol(MinskyAction("q", c, op, "r")).token == token
+        sym = minsky_action_to_symbol(MinskyAction("q", c, op, "r"))
+        assert sym.token == token
+        # the shared alphabet member, not an equal copy
+        assert any(sym is member for member in ALPHABET)
 
 
 def test_encoding_coherence_with_machine_steps():

@@ -6,9 +6,11 @@ benchmark's sweep.  No pair of sides may disagree, every witness must replay
 on its own side, and the class counts are a fence: a change to the search,
 the prunes or the compiler that moves a machine from one class to another
 shows here.  The cross-check reruns the sweep with the relevance prune
-switched off and compares every verdict and witness.
+switched off and compares every verdict and witness.  A digest pins the
+text of every compiled system, which the goldens pin for 13 machines only.
 """
 
+import hashlib
 import itertools
 from collections import Counter
 
@@ -16,7 +18,10 @@ import pytest
 
 from prvass import explorer
 from prvass.explorer import BOUNDS_HIT, Bounds, differential_check, replay_trace
+from prvass.formats import serialize_prvass
 from prvass.models import MinskyAction, MinskyMachine
+from prvass.reduction import compile_machine
+from prvass.relations import ALPHABET
 
 STATES = ("s", "p", "t")
 SWEEP_BOUNDS = Bounds(max_steps=10_000, max_stack=48, max_counter=1000, max_visited=20_000)
@@ -79,3 +84,16 @@ def test_relevance_prune_keeps_every_definitive_verdict_and_witness(sweep, monke
             assert with_prune.trace == without.trace, machine
             if without.outcome != BOUNDS_HIT:
                 assert with_prune.outcome == without.outcome, machine
+
+
+# SHA-256 of the compiled text of all 1 485 machines, in enumeration order
+COMPILED_DIGEST = "642e7931ef61a65e8ddf41e3667ab020a7eff895be72c399c6905a178746fd4c"
+
+
+def test_every_compiled_system_is_pinned():
+    digest = hashlib.sha256()
+    for m in small_machines():
+        compiled = compile_machine(m)
+        assert len(compiled.bookkeeping) == len(ALPHABET) + len(m.actions), m
+        digest.update(serialize_prvass(compiled.system, init=compiled.start).encode("utf-8"))
+    assert digest.hexdigest() == COMPILED_DIGEST
