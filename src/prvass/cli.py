@@ -185,16 +185,22 @@ def cmd_cover(args) -> int:
 def cmd_simulate(args) -> int:
     mf, _ = _load_validated(args.model)
     bounds = _bounds_from(args)
+    other_family = (
+        {"--counters": args.counters} if mf.kind == "prvass" else {"--stack": args.stack, "--counter": args.counter}
+    )
+    for flag, value in other_family.items():
+        if value is not None:
+            raise _UsageError(f"{flag} does not apply to a {mf.kind} file: {args.model}")
     if mf.kind == "prvass":
         state = args.state if args.state is not None else mf.init
         if state is None:
             raise _UsageError("no --state given and the file declares no init state")
         stack = tuple(s for s in args.stack.split(",") if s) if args.stack else ()
-        start = Configuration(state, stack, args.counter)
+        start = Configuration(state, stack, args.counter or 0)
         reach = reachable_set(mf.system, start, bounds)
     else:
         state = args.state if args.state is not None else mf.machine.source
-        start = MinskyConfig(state, args.counters)
+        start = MinskyConfig(state, args.counters or (0, 0))
         reach = reachable_set(mf.machine, start, bounds)
     states_seen = len({c.state for c in reach.configs})
     payload = {
@@ -295,9 +301,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="enumerate the bounded reachable set of a model file")
     p.add_argument("model", help="minsky or prvass file")
     p.add_argument("--state", default=None, help="start state (default: the file's initial state)")
-    p.add_argument("--stack", default="", help="comma-separated start stack, bottom first (prvass)")
-    p.add_argument("--counter", type=int, default=0, help="start counter (prvass)")
-    p.add_argument("--counters", type=_counter_pair, default="0,0", help="start counters n0,n1 (minsky)")
+    p.add_argument("--stack", default=None, help="comma-separated start stack, bottom first (prvass; default empty)")
+    p.add_argument("--counter", type=int, default=None, help="start counter (prvass; default 0)")
+    p.add_argument("--counters", type=_counter_pair, default=None, help="start counters n0,n1 (minsky; default 0,0)")
     p.add_argument("--json", action="store_true")
     _add_bounds_args(p)
     p.set_defaults(func=cmd_simulate)

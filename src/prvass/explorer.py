@@ -387,12 +387,7 @@ def replay_failure_index(sys: Prvass | MinskyMachine, tr: Trace) -> int | None:
     succ_fn = successors if isinstance(sys, Prvass) else minsky_successors
     cur = tr.start
     for i, (action, cfg) in enumerate(tr.steps):
-        candidates = succ_fn(sys, cur)
-        if action is None:
-            ok = any(c == cfg for _, c in candidates)
-        else:
-            ok = (action, cfg) in candidates
-        if not ok:
+        if not any(c == cfg and action in (None, a) for a, c in succ_fn(sys, cur)):
             return i
         cur = cfg
     return None

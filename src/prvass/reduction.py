@@ -144,7 +144,7 @@ class CompiledSystem:
     start has no incoming actions and cover_target no outgoing ones; every
     machine state keeps its name in the compiled control, and bookkeeping
     maps each glued gadget to the machine action it simulates or, for the
-    backward copies, to its symbol.
+    backward copies, to its symbol, in the order the gadgets are spliced.
     """
 
     system: Prvass
@@ -182,43 +182,31 @@ def compile_machine(m: MinskyMachine) -> CompiledSystem:
     replay = fresh("b")
     cover = fresh("t'")
 
-    forward = []
+    states = [start, *m.states]
+    actions = [Action(start, (push(BOTTOM), push(MARKER), push(UNARY)), m.source)]
+    bookkeeping: dict[Gadget, MinskyAction | DeltaSymbol] = {}
+
+    def splice(sym, direction, prefix, origin, into, back_to):
+        gadget = build_gadget(sym, direction, lambda role: fresh(f"{prefix}/{role}"))
+        states.extend((gadget.entry, *gadget.internal_states, gadget.exit))
+        actions.append(Action(into, (), gadget.entry))
+        actions.extend(gadget.actions)
+        actions.append(Action(gadget.exit, (), back_to))
+        bookkeeping[gadget] = origin
+
     for i, origin in enumerate(m.actions):
         sym = minsky_action_to_symbol(origin)
-        prefix = f"a{i}/{sym.token}"
-        gadget = build_gadget(sym, FORWARD, lambda role: fresh(f"{prefix}/{role}"))
-        forward.append((gadget, origin))
-    backward = []
-    for sym in ALPHABET:
-        prefix = f"back-{sym.token}/{sym.token}"
-        gadget = build_gadget(sym, BACKWARD, lambda role: fresh(f"{prefix}/{role}"))
-        backward.append((gadget, sym))
-
-    states = [start]
-    states.extend(m.states)
-    for gadget, _ in forward:
-        states.extend((gadget.entry,) + gadget.internal_states + (gadget.exit,))
+        splice(sym, FORWARD, f"a{i}/{sym.token}", origin, origin.source, origin.target)
     states.append(replay)
-    for gadget, _ in backward:
-        states.extend((gadget.entry,) + gadget.internal_states + (gadget.exit,))
-    states.append(cover)
-
-    actions = [Action(start, (push(BOTTOM), push(MARKER), push(UNARY)), m.source)]
-    for gadget, origin in forward:
-        actions.append(Action(origin.source, (), gadget.entry))
-        actions.extend(gadget.actions)
-        actions.append(Action(gadget.exit, (), origin.target))
     actions.append(
         Action(m.target, (pop(UNARY), pop(MARKER), push(MARKER), push(UNARY)), replay)
     )
-    for gadget, _ in backward:
-        actions.append(Action(replay, (), gadget.entry))
-        actions.extend(gadget.actions)
-        actions.append(Action(gadget.exit, (), replay))
+    for sym in ALPHABET:
+        splice(sym, BACKWARD, f"back-{sym.token}/{sym.token}", sym, replay, replay)
+    states.append(cover)
     actions.append(Action(replay, (pop(UNARY), pop(MARKER), pop(BOTTOM)), cover))
 
     system = Prvass(tuple(states), STACK_ALPHABET, tuple(actions))
-    bookkeeping: dict[Gadget, MinskyAction | DeltaSymbol] = dict(forward + backward)
     return CompiledSystem(system, start, cover, bookkeeping)
 
 

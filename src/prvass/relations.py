@@ -216,40 +216,31 @@ def _prefix_max(values: list[int]) -> list[int]:
 _GROWTH_GUARD = 10**7
 
 
-def _forward_ceilings(rs, domain_bound: int) -> list[int]:
-    """ceil[m] = largest n with (m, n) in the forward-weak composition; -1 if none.
+def _ceilings(rs, domain_bound: int, table, direction: str) -> list[int]:
+    """ceil[x] = largest y reached from x through rs in order, each step read off table; -1 if none.
 
-    Right sections of forward-weak compositions are downward closed (a
-    smaller result is witnessed by the same chain), so each section is the
-    interval [0, ceil[m]].  After the first step the argument itself ranges
-    over a downward-closed set, so each later step is a prefix-maximum of
-    the exact images.
+    table(r, ps) lists r's largest partner of each p in ps, -1 for none.
+    The sections of both weak compositions are downward closed, so each
+    later step maps the ceilings through the prefix maximum of its table.
     """
-    ceilings = [r if (r := rs[0].apply(m)) is not None else -1 for m in range(domain_bound + 1)]
+    ceilings = table(rs[0], range(domain_bound + 1))
     for r in rs[1:]:
         limit = max(ceilings, default=-1)
         if limit > _GROWTH_GUARD:
-            raise CompositionBoundError(f"forward ceiling {limit} escapes the growth guard")
-        pm = _prefix_max([v if (v := r.apply(p)) is not None else -1 for p in range(limit + 1)])
+            raise CompositionBoundError(f"{direction} ceiling {limit} escapes the growth guard")
+        pm = _prefix_max(table(r, range(limit + 1)))
         ceilings = [pm[c] if c >= 0 else -1 for c in ceilings]
     return ceilings
+
+
+def _forward_ceilings(rs, domain_bound: int) -> list[int]:
+    """ceil[m] = largest n with (m, n) in the forward-weak composition; -1 if none (see _ceilings)."""
+    return _ceilings(rs, domain_bound, lambda r, ps: [-1 if (v := r.apply(p)) is None else v for p in ps], "forward")
 
 
 def _backward_ceilings(rs, domain_bound: int) -> list[int]:
-    """ceil[n] = largest m with (m, n) in the backward-weak composition; -1 if none.
-
-    Left sections of backward-weak compositions are downward closed, so the
-    composition is computed right to left through prefix-maxima of each
-    relation's left_ceiling.
-    """
-    ceilings = [rs[-1].left_ceiling(n) for n in range(domain_bound + 1)]
-    for r in reversed(rs[:-1]):
-        limit = max(ceilings, default=-1)
-        if limit > _GROWTH_GUARD:
-            raise CompositionBoundError(f"backward ceiling {limit} escapes the growth guard")
-        pm = _prefix_max([r.left_ceiling(q) for q in range(limit + 1)])
-        ceilings = [pm[c] if c >= 0 else -1 for c in ceilings]
-    return ceilings
+    """ceil[n] = largest m with (m, n) in the backward-weak composition; -1 if none (see _ceilings)."""
+    return _ceilings(rs[::-1], domain_bound, lambda r, ps: [r.left_ceiling(p) for p in ps], "backward")
 
 
 def _exact_values(rs, domain_bound: int) -> list[int | None]:
@@ -300,9 +291,9 @@ def check_two_approximations(rs, domain_bound: int) -> TwoApproximationsReport:
     the composition of the exact relations iff it is in both the
     forward-weak and the backward-weak compositions.  The comparison is
     exhaustive over the rectangle, not sampled.  The weak sides are
-    evaluated through section-ceiling tables (see _forward_ceilings and
-    _backward_ceilings), which the test suite cross-validates against the
-    enumeration in compose_image.  Row m is in both weak compositions
+    evaluated through section-ceiling tables (see _ceilings), which the
+    test suite cross-validates against the enumeration in compose_image,
+    also on non-monotone relations.  Row m is in both weak compositions
     exactly at the n <= fwd[m] with m <= bwd[n], so it holds iff that set
     is {exact[m]}: builtin max over bwd[:fwd[m] + 1] on either side of
     exact[m] decides a row at C speed, and only a failing row is rescanned

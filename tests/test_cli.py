@@ -228,6 +228,20 @@ def test_simulate_start_stack_outside_the_alphabet_exits_three(workdir, capsys):
 
 
 @pytest.mark.parametrize(
+    "kind, flag",
+    [("prvass", ["--counters", "3,4"]), ("minsky", ["--counter", "5"]), ("minsky", ["--stack", "bot,hash"])],
+    ids=["counters-on-prvass", "counter-on-minsky", "stack-on-minsky"],
+)
+def test_simulate_rejects_the_other_familys_start_flag(workdir, capsys, kind, flag):
+    model = _compile(workdir, "inc-dec") if kind == "prvass" else workdir / "inc-dec.minsky"
+    capsys.readouterr()
+    assert main(["simulate", str(model), *flag]) == 3
+    captured = capsys.readouterr()
+    assert "REACHABLE" not in captured.out
+    assert flag[0] in captured.err
+
+
+@pytest.mark.parametrize(
     "init_lines",
     ["init: nosuch\n", "init: s'\ninit: s'\n"],
     ids=["undeclared", "repeated"],

@@ -6,8 +6,10 @@ import random
 import pytest
 
 from prvass import relations
+from prvass.cli import main
 from prvass.relations import (
     ALPHABET,
+    CompositionBoundError,
     TwoApproximationsReport,
     WeakMode,
     _backward_ceilings,
@@ -101,13 +103,27 @@ def _assert_ceilings_match_enumeration(seq, domain, bound):
 def test_ceiling_tables_match_enumeration():
     # the section-ceiling fast path must agree with compose_member's dumb
     # enumeration; exhaustive for every sequence of length <= 2 on a small
-    # rectangle
+    # rectangle, and on arbitrary finite relations, whose values stay in
+    # [0, 12] so a bound of 13 enumerates every intermediate
     domain = 8
     bound = 9 * (domain + 1)
     specs = [rel_spec(sym) for sym in ALPHABET]
     for length in (1, 2):
         for seq in itertools.product(specs, repeat=length):
             _assert_ceilings_match_enumeration(seq, domain, bound)
+    for seq in _random_finite_sequences(300, seed=20190):
+        _assert_ceilings_match_enumeration(seq, 13, 13)
+
+
+def test_growth_guard_names_its_direction(monkeypatch, capsys):
+    monkeypatch.setattr(relations, "_GROWTH_GUARD", 50)
+    m2, d2 = rel_spec("m2"), rel_spec("d2")
+    with pytest.raises(CompositionBoundError, match="^forward ceiling 80 escapes the growth guard$"):
+        check_two_approximations([m2, m2], 40)
+    with pytest.raises(CompositionBoundError, match="^backward ceiling 80 escapes the growth guard$"):
+        check_two_approximations([d2, d2], 40)
+    assert main(["prop1", "m2", "m2", "--domain", "40"]) == 3
+    assert "forward ceiling 80 escapes the growth guard" in capsys.readouterr().err
 
 
 def test_ceiling_tables_match_enumeration_length_three_spot():

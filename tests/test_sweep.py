@@ -94,6 +94,12 @@ def test_every_compiled_system_is_pinned():
     digest = hashlib.sha256()
     for m in small_machines():
         compiled = compile_machine(m)
-        assert len(compiled.bookkeeping) == len(ALPHABET) + len(m.actions), m
+        # perfbench's oracles workload reads its gadgets in this order: the
+        # forward gadgets in machine-action order, then the backward ones in
+        # ALPHABET order, each where its entry state stands
+        assert list(compiled.bookkeeping.values()) == [*m.actions, *ALPHABET], m
+        position = {state: i for i, state in enumerate(compiled.system.states)}
+        entries = [position[g.entry] for g in compiled.bookkeeping]
+        assert entries == sorted(entries), m
         digest.update(serialize_prvass(compiled.system, init=compiled.start).encode("utf-8"))
     assert digest.hexdigest() == COMPILED_DIGEST
