@@ -64,6 +64,13 @@ def _counter_pair(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+def _stack_word(text: str) -> tuple[str, ...]:
+    symbols = tuple(text.split(",")) if text else ()
+    if "" in symbols:
+        raise argparse.ArgumentTypeError(f"expects comma-separated stack symbols, got {text!r}")
+    return symbols
+
+
 def _bounds_from(args) -> Bounds:
     return Bounds(args.max_steps, args.max_stack, args.max_counter, args.max_visited)
 
@@ -73,8 +80,8 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_validated(path: str):
-    """Parse and validate a model file; returns it with its text, which trace digests hash."""
+def _load_validated(path: str, kind: str | None = None):
+    """Parse and validate a model file, of kind if one is given; returns it with its text, which trace digests hash."""
     text = _read(path)
     mf = parse_model_file(text)
     if mf.kind == "minsky":
@@ -87,6 +94,8 @@ def _load_validated(path: str):
         for d in diags:
             print(f"error: {d}", file=sys.stderr)
         raise _UsageError(f"{path}: {len(diags)} validation diagnostic(s)")
+    if kind is not None and mf.kind != kind:
+        raise _UsageError(f"{path}: expected a {kind} file, got a {mf.kind} file")
     return mf, text
 
 
@@ -99,9 +108,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def cmd_compile(args) -> int:
-    mf, _ = _load_validated(args.machine)
-    if mf.kind != "minsky":
-        raise _UsageError(f"{args.machine}: compile expects a minsky file")
+    mf, _ = _load_validated(args.machine, "minsky")
     compiled = compile_machine(mf.machine)
     text = serialize_prvass(compiled.system, init=compiled.start)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -141,9 +148,7 @@ def _claim_trace_path(path: str) -> bool:
 
 
 def cmd_cover(args) -> int:
-    mf, text = _load_validated(args.system)
-    if mf.kind != "prvass":
-        raise _UsageError(f"{args.system}: cover expects a prvass file")
+    mf, text = _load_validated(args.system, "prvass")
     start_state = args.start if args.start is not None else mf.init
     if start_state is None:
         raise _UsageError("no --start given and the file declares no init state")
@@ -195,8 +200,7 @@ def cmd_simulate(args) -> int:
         state = args.state if args.state is not None else mf.init
         if state is None:
             raise _UsageError("no --state given and the file declares no init state")
-        stack = tuple(s for s in args.stack.split(",") if s) if args.stack else ()
-        start = Configuration(state, stack, args.counter or 0)
+        start = Configuration(state, args.stack or (), args.counter or 0)
         reach = reachable_set(mf.system, start, bounds)
     else:
         state = args.state if args.state is not None else mf.machine.source
@@ -245,9 +249,7 @@ def cmd_prop1(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    mf, _ = _load_validated(args.machine)
-    if mf.kind != "minsky":
-        raise _UsageError(f"{args.machine}: diff expects a minsky file")
+    mf, _ = _load_validated(args.machine, "minsky")
     bounds = _bounds_from(args)
     report = differential_check(mf.machine, bounds, bounds)
     mv = _VERDICT_TOKEN[report.minsky_verdict.outcome]
@@ -301,7 +303,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="enumerate the bounded reachable set of a model file")
     p.add_argument("model", help="minsky or prvass file")
     p.add_argument("--state", default=None, help="start state (default: the file's initial state)")
-    p.add_argument("--stack", default=None, help="comma-separated start stack, bottom first (prvass; default empty)")
+    p.add_argument("--stack", type=_stack_word, default=None, help="comma-separated start stack, bottom first (prvass; default empty)")
     p.add_argument("--counter", type=int, default=None, help="start counter (prvass; default 0)")
     p.add_argument("--counters", type=_counter_pair, default=None, help="start counters n0,n1 (minsky; default 0,0)")
     p.add_argument("--json", action="store_true")

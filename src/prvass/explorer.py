@@ -127,13 +127,14 @@ def _effect(body):
     return tuple(pops), tuple(pushes), need, reset, delta
 
 
-def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set):
+def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set, target: str | None):
     """The flat search of a stack-and-counter system.
 
-    A search key is the triple (state, stack node, counter).  Stacks are
-    hash-consed in a trie of (parent, symbol) nodes with integer ids, node 0
-    being the empty stack, so equal stacks share one node: a push is one
-    dict lookup, a pop one list read, and a key hashes in constant time.
+    A search key is the triple (state, stack node, counter), a target when
+    its state is target.  Stacks are hash-consed in a trie of (parent,
+    symbol) nodes with integer ids, node 0 being the empty stack, so equal
+    stacks share one node: a push is one dict lookup, a pop one list read,
+    and a key hashes in constant time.
     Actions are grouped by source state in one pass; a state's bodies are
     normalised by _effect the first time the state is expanded, so a search
     that visits a few states pays for those alone.  Actions into a state
@@ -213,26 +214,26 @@ def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set):
             word = words[n] = word + (top[n],)
         return Configuration(state, word, counter)
 
-    return (start.state, node, start.counter), expand, label, decode
+    return (start.state, node, start.counter), expand, label, decode, lambda key: key[0] == target
 
 
 def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None = None):
-    """The model family's (start key, expand, label, decode); the one place the search dispatches on it.
+    """The model family's (start key, expand, label, decode, is_target); the one place the search dispatches on it.
 
     expand(key) lists the successor keys in action declaration order, with
     None for each successor that a stack or counter cap drops; label(key,
     succ) is the first action, in declaration order, that takes key to succ;
-    decode(key) is the configuration a key stands for.  Two-counter
+    decode(key) is the configuration a key stands for; is_target(key) is
+    whether it is in the target state, or for a two-counter machine equals
+    (target, 0, 0), and is never true without a target.  Two-counter
     configurations are their own keys.  A start that itself violates a cap
     cannot be expanded honestly, so it expands to one dropped successor.
     When a target is named, expand leaves out every action into a state with
     no control path to the target state: a configuration there can never
-    reach the target, so dropping it is exact and is not a bound prune.  The
-    actions are filtered once, here, so the prune costs nothing per key.
+    reach the target, so dropping it is exact and is not a bound prune.
     This is also the one place that checks the search's inputs belong to the
     model: the start state and the target state, when one is named, must be
-    declared, and every start stack symbol must be in the alphabet (one pass
-    over the start stack, never one per expansion).
+    declared, and every start stack symbol must be in the alphabet.
     """
     states = set(model.states)
     for what, state in (("target", target), ("start", start.state)):
@@ -244,7 +245,7 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None 
         for symbol in start.stack:
             if symbol not in alphabet:
                 raise ValueError(f"start stack symbol {symbol!r} not in the stack alphabet")
-        start_key, expand, label, decode = _prvass_family(model, start, b, live)
+        start_key, expand, label, decode, is_target = _prvass_family(model, start, b, live, target)
         over_cap = len(start.stack) > b.max_stack or start.counter > b.max_counter
     else:
         relevant = replace(model, actions=tuple(a for a in model.actions if a.target in live))
@@ -257,9 +258,10 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None 
         def label(cfg, succ):
             return next(action for action, c in minsky_successors(relevant, cfg) if c == succ)
 
-        start_key, decode = start, _identity
+        goal = MinskyConfig(target, (0, 0))
+        start_key, decode, is_target = start, _identity, lambda cfg: cfg == goal
         over_cap = max(start.counters) > cap
-    return start_key, (lambda key: [None]) if over_cap else expand, label, decode
+    return start_key, (lambda key: [None]) if over_cap else expand, label, decode, is_target
 
 
 def _coreachable(actions, target: str) -> set:
@@ -281,17 +283,17 @@ def _identity(cfg):
     return cfg
 
 
-def _bfs(start, b: Bounds, expand, label, decode, is_target) -> Verdict:
-    """Layered breadth-first search core shared by all searches.
+def _bfs(family, b: Bounds) -> tuple[Verdict, dict]:
+    """Layered breadth-first search over a _family's keys; returns the verdict and the visited dict.
 
-    start, expand, label and decode come from _family, and the search runs
-    on its keys alone: it stores each visited key's parent key and nothing
-    else.  is_target sees every dequeued key, in order; only the witness is
-    decoded, and label names its actions.  A None from expand is a successor
-    that a cap dropped.  The layer at depth max_steps is expanded only to
-    learn whether a successor would be dropped; none of its successors is
-    visited.
+    The visited dict maps each visited key to its parent key (None for the
+    start), in the order the keys were dequeued, the layer at the depth cap
+    included.  Only the witness is decoded, and label names its actions.  A
+    None from expand is a successor that a cap dropped.  The layer at depth
+    max_steps is expanded only to learn whether a successor would be
+    dropped; none of its successors is visited.
     """
+    start, expand, label, decode, is_target = family
     t0 = time.perf_counter()
     parents: dict = {start: None}
     layer = [start]
@@ -307,7 +309,7 @@ def _bfs(start, b: Bounds, expand, label, decode, is_target) -> Verdict:
                     key = prev
                 steps.reverse()
                 stats = SearchStats(len(parents), frontier_peak, time.perf_counter() - t0)
-                return Verdict(COVERED, Trace(decode(start), tuple(steps)), stats)
+                return Verdict(COVERED, Trace(decode(start), tuple(steps)), stats), parents
         if depth >= b.max_steps:
             # an earlier drop already forbids an exhaustion claim; None is never a key
             pruned = pruned or any(succ not in parents for key in layer for succ in expand(key))
@@ -326,7 +328,7 @@ def _bfs(start, b: Bounds, expand, label, decode, is_target) -> Verdict:
         frontier_peak = max(frontier_peak, len(next_layer))
         layer = next_layer
     stats = SearchStats(len(parents), frontier_peak, time.perf_counter() - t0)
-    return Verdict(BOUNDS_HIT if pruned else EXHAUSTED_NO_COVER, None, stats)
+    return Verdict(BOUNDS_HIT if pruned else EXHAUSTED_NO_COVER, None, stats), parents
 
 
 def bounded_cover(sys: Prvass, start: Configuration, target: str, b: Bounds) -> Verdict:
@@ -340,15 +342,12 @@ def bounded_cover(sys: Prvass, start: Configuration, target: str, b: Bounds) -> 
     cannot reach the target, so leaving them out never hides a cover.
     Identical inputs give identical verdicts and traces.
     """
-    start_key, expand, label, decode = _family(sys, start, b, target)
-    return _bfs(start_key, b, expand, label, decode, lambda key: key[0] == target)
+    return _bfs(_family(sys, start, b, target), b)[0]
 
 
 def minsky_bounded_reach(m: MinskyMachine, b: Bounds) -> Verdict:
     """Bounded search for the exact configuration (target, 0, 0) from (source, 0, 0)."""
-    start, goal = MinskyConfig(m.source, (0, 0)), MinskyConfig(m.target, (0, 0))
-    start_key, expand, label, decode = _family(m, start, b, m.target)
-    return _bfs(start_key, b, expand, label, decode, lambda c: c == goal)
+    return _bfs(_family(m, MinskyConfig(m.source, (0, 0)), b, m.target), b)[0]
 
 
 @dataclass(frozen=True)
@@ -361,16 +360,15 @@ class ReachableSet:
 
 
 def reachable_set(sys: Prvass | MinskyMachine, start, b: Bounds) -> ReachableSet:
-    """Enumerate every configuration reachable within bounds.
+    """Enumerate every configuration reachable within bounds, in the search's dequeue order.
 
     complete is True only when the closure finished without any pruning
     event, i.e. the returned tuple really is the whole reachable set.
     """
-    keys: list = []
-    start_key, expand, label, decode = _family(sys, start, b)
-    # keys.append returns None, so no key is a target and every dequeued key is kept
-    verdict = _bfs(start_key, b, expand, label, decode, keys.append)
-    return ReachableSet(tuple(map(decode, keys)), verdict.outcome == EXHAUSTED_NO_COVER, verdict.stats)
+    family = _family(sys, start, b)
+    verdict, parents = _bfs(family, b)
+    decode = family[3]
+    return ReachableSet(tuple(map(decode, parents)), verdict.outcome == EXHAUSTED_NO_COVER, verdict.stats)
 
 
 def replay_trace(sys: Prvass | MinskyMachine, tr: Trace) -> bool:

@@ -68,11 +68,15 @@ def _check_token(token: str, lineno: int, line: str, what: str) -> str:
     return token
 
 
-def _key_line(lines, key: str):
-    """The next line, which must be `key: tokens`; returns its number, its text and its tokens."""
-    lineno, line = next(lines, (None, None))
+def _key_line(lines, key: str, last: int):
+    """The next line, which must be `key: tokens`; returns its number, its text and its tokens.
+
+    last is the number of the line read before it; a file that ends first
+    is reported at the line after that one.
+    """
+    lineno, line = next(lines, (last + 1, None))
     if line is None or not line.strip().startswith(key + ":"):
-        raise ParseError(lineno or 0, 1, f"expected a {key!r} line")
+        raise ParseError(lineno, 1, f"expected a {key!r} line")
     return lineno, line, line.strip()[len(key) + 1 :].split()
 
 
@@ -84,20 +88,20 @@ def parse_model_file(text: str) -> ModelFile:
         raise ParseError(1, 1, "empty file: expected a kind line ('minsky' or 'prvass')")
     kind = line.strip()
     if kind == "minsky":
-        return ModelFile("minsky", machine=_parse_machine_body(lines))
+        return ModelFile("minsky", machine=_parse_machine_body(lines, lineno))
     if kind == "prvass":
-        system, init = _parse_system_body(lines)
+        system, init = _parse_system_body(lines, lineno)
         return ModelFile("prvass", system=system, init=init)
     raise ParseError(lineno, 1, f"unknown model kind {kind!r} (expected 'minsky' or 'prvass')")
 
 
-def _parse_machine_body(lines) -> MinskyMachine:
-    lineno, line, states = _key_line(lines, "states")
+def _parse_machine_body(lines, lineno: int) -> MinskyMachine:
+    lineno, line, states = _key_line(lines, "states", lineno)
     states = tuple(_check_token(s, lineno, line, "state") for s in states)
-    lineno, _, init = _key_line(lines, "init")
+    lineno, _, init = _key_line(lines, "init", lineno)
     if len(init) != 1:
         raise ParseError(lineno, 1, "expected exactly one initial state")
-    lineno, _, final = _key_line(lines, "final")
+    lineno, _, final = _key_line(lines, "final", lineno)
     if len(final) != 1:
         raise ParseError(lineno, 1, "expected exactly one final state")
     actions = []
@@ -134,10 +138,10 @@ def _parse_instruction(token: str, lineno: int, column: int) -> Instruction:
     raise ParseError(lineno, column, f"unknown instruction {token!r}")
 
 
-def _parse_system_body(lines) -> tuple[Prvass, str | None]:
-    lineno, line, states = _key_line(lines, "states")
+def _parse_system_body(lines, lineno: int) -> tuple[Prvass, str | None]:
+    lineno, line, states = _key_line(lines, "states", lineno)
     states = tuple(_check_token(s, lineno, line, "state") for s in states)
-    lineno, line, stack = _key_line(lines, "stack")
+    lineno, line, stack = _key_line(lines, "stack", lineno)
     stack = tuple(_check_token(s, lineno, line, "stack symbol") for s in stack)
     init = None
     init_line = None

@@ -258,3 +258,35 @@ def test_bad_init_line_exits_three_from_every_command(workdir, capsys, init_line
     assert main(["compile", str(bad), str(workdir / "out.prvass")]) == 3
     assert main(["diff", str(bad)]) == 3
     assert "VERDICT" not in capsys.readouterr().out
+
+
+def test_simulate_stack_with_an_empty_segment_names_the_flag(workdir, capsys):
+    system = _compile(workdir, "inc-dec")
+    for stack in ("bot,,hash", ",bot", "bot,"):
+        capsys.readouterr()
+        assert main(["simulate", str(system), f"--stack={stack}"]) == 3, stack
+        captured = capsys.readouterr()
+        assert "REACHABLE" not in captured.out
+        assert "argument --stack:" in captured.err
+    # an empty flag is still the empty stack, and still foreign to a minsky file
+    assert main(["simulate", str(system), "--json"]) == 0
+    default = capsys.readouterr().out
+    assert main(["simulate", str(system), "--stack", "", "--json"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(["simulate", str(workdir / "inc-dec.minsky"), "--stack", ""]) == 3
+    assert "--stack" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, kind, expected",
+    [("compile", "prvass", "minsky"), ("cover", "minsky", "prvass"), ("diff", "prvass", "minsky")],
+    ids=["compile-on-prvass", "cover-on-minsky", "diff-on-prvass"],
+)
+def test_command_on_the_other_kind_of_file_names_the_expected_kind(workdir, capsys, command, kind, expected):
+    model = _compile(workdir, "inc-dec") if kind == "prvass" else workdir / "inc-dec.minsky"
+    capsys.readouterr()
+    extra = {"compile": [str(workdir / "out.prvass")], "cover": ["--target", "t"], "diff": []}[command]
+    assert main([command, str(model), *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"expected a {expected} file" in captured.err

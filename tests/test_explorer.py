@@ -10,6 +10,7 @@ from prvass.explorer import (
     COVERED,
     EXHAUSTED_NO_COVER,
     Trace,
+    _bfs,
     _family,
     bounded_cover,
     differential_check,
@@ -34,7 +35,8 @@ from prvass.models import (
 )
 from prvass.reduction import compile_machine
 
-from conftest import load_machine
+from conftest import CORPUS_EXPECTED, load_machine
+from test_sweep import SWEEP_BOUNDS, small_machines
 
 GENEROUS = Bounds(1_000_000, 64, 10_000, 1_000_000)
 
@@ -336,7 +338,7 @@ def test_flat_effects_match_the_reference_semantics():
         for stack in itertools.product("ab", repeat=height):
             for counter in range(4):
                 start = Configuration("s", stack, counter)
-                start_key, expand, label, decode = _family(sys, start, GENEROUS)
+                start_key, expand, label, decode, _ = _family(sys, start, GENEROUS)
                 keys = expand(start_key)
                 reference = successors(sys, start)
                 assert [decode(key) for key in keys] == [cfg for _, cfg in reference], start
@@ -381,6 +383,50 @@ def test_closure_order_matches_reference_bfs(name, b, complete):
     reach = reachable_set(compiled.system, start, b)
     assert reach.complete is complete
     assert list(reach.configs) == _reference_closure(compiled.system, start, b)
+
+
+def _searched_sides(m, b):
+    """The family arguments of both sides of the differential check on m."""
+    compiled = compile_machine(m)
+    return (
+        (m, MinskyConfig(m.source, (0, 0)), b, m.target),
+        (compiled.system, Configuration(compiled.start, (), 0), b, compiled.cover_target),
+    )
+
+
+def _check_visited_dict(model, start, b, target=None):
+    """Run _bfs and check its visited dict; returns the verdict, the dict and the family."""
+    family = _family(model, start, b, target)
+    start_key, expand = family[:2]
+    verdict, parents = _bfs(family, b)
+    order = {key: i for i, key in enumerate(parents)}
+    assert order[start_key] == 0 and parents[start_key] is None
+    assert all(order[parent] < i for i, parent in enumerate(parents.values()) if i)
+    assert len(parents) == verdict.stats.visited
+    if verdict.outcome == EXHAUSTED_NO_COVER:
+        assert all(succ in parents for key in parents for succ in expand(key))
+    return verdict, parents, family
+
+
+def test_visited_dict_on_the_corpus_and_the_sweep():
+    # both sides of every corpus machine, and of every sweep machine whose
+    # two-counter side exhausts; exhaustion means the dict is closed under
+    # expand, which is what a no-cover certificate rests on
+    for name in (*CORPUS_EXPECTED, "big-counter"):
+        for side in _searched_sides(load_machine(name), GENEROUS):
+            _check_visited_dict(*side)
+    for m in small_machines():
+        machine_side, compiled_side = _searched_sides(m, SWEEP_BOUNDS)
+        if _check_visited_dict(*machine_side)[0].outcome == EXHAUSTED_NO_COVER:
+            _check_visited_dict(*compiled_side)
+
+
+def test_reachable_set_decodes_the_visited_dict_in_order():
+    for name in (*CORPUS_EXPECTED, "big-counter"):
+        for model, start, b, _ in _searched_sides(load_machine(name), GENEROUS):
+            _, parents, family = _check_visited_dict(model, start, b)
+            decode = family[3]
+            assert reachable_set(model, start, b).configs == tuple(map(decode, parents)), name
 
 
 def _deep_cover_args():

@@ -151,6 +151,24 @@ def test_parse_rejects_unknown_kind_and_empty_file():
         parse_minsky(PRVASS_TEXT)
 
 
+@pytest.mark.parametrize(
+    "text, line, key",
+    [
+        ("minsky\n", 2, "states"),
+        ("minsky\nstates: s t\n", 3, "init"),
+        ("minsky\nstates: s t\ninit: s\n", 4, "final"),
+        ("prvass\n", 2, "states"),
+        ("prvass\nstates: s t\n", 3, "stack"),
+    ],
+    ids=["minsky-states", "minsky-init", "minsky-final", "prvass-states", "prvass-stack"],
+)
+def test_truncated_file_reports_the_line_after_its_last(text, line, key):
+    with pytest.raises(ParseError) as err:
+        parse_model_file(text)
+    assert (err.value.line, err.value.column) == (line, 1)
+    assert f"expected a {key!r} line" in str(err.value)
+
+
 def test_compiled_system_round_trips():
     compiled = compile_machine(load_machine("inc-dec"))
     text = serialize_prvass(compiled.system, init=compiled.start)
