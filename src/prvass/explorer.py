@@ -385,7 +385,8 @@ def replay_failure_index(sys: Prvass | MinskyMachine, tr: Trace) -> int | None:
     succ_fn = successors if isinstance(sys, Prvass) else minsky_successors
     cur = tr.start
     for i, (action, cfg) in enumerate(tr.steps):
-        if not any(c == cfg and action in (None, a) for a, c in succ_fn(sys, cur)):
+        candidates = succ_fn(sys, cur)
+        if not (any(c == cfg for _, c in candidates) if action is None else (action, cfg) in candidates):
             return i
         cur = cfg
     return None

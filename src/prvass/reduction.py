@@ -18,11 +18,18 @@ gadget_contract_set computes that set exhaustively and is the oracle the
 test suite compares against weak_member.  The wiring depends only on the
 symbol and the direction, so it is kept as a name-free shape table built
 once at import, and each gadget applies its own state names to a shape.
+A gadget's states are prefix/q1, /q2 and /q3, primed until fresh, with
+prefix a<i>/<token> for action i's forward gadget and back-<token>/<token>
+for a backward one.  Start, replay and cover (s', b, t', primed) and other
+gadgets never start with it, so only machine states that do can collide:
+each gadget is built once per (symbol, direction, prefix, those states) and
+shared by all compiles, named as priming against the whole system names it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .models import (
@@ -153,6 +160,27 @@ class CompiledSystem:
     bookkeeping: dict
 
 
+_INIT = (push(BOTTOM), push(MARKER), push(UNARY))
+_EQUALS_ONE = (pop(UNARY), pop(MARKER), push(MARKER), push(UNARY))
+_FINAL = (pop(UNARY), pop(MARKER), pop(BOTTOM))
+_BACK_PREFIXES = tuple((sym, f"back-{sym.token}/{sym.token}") for sym in ALPHABET)
+
+
+def _fresh(name: str, used: set) -> str:
+    """name with primes appended until it is not in used, which then takes it."""
+    while name in used:
+        name += "'"
+    used.add(name)
+    return name
+
+
+@lru_cache(maxsize=4096)
+def _block(sym: DeltaSymbol, direction: str, prefix: str, taken: tuple[str, ...]) -> Gadget:
+    """The gadget named prefix/q1, /q2, /q3, primed past taken (the states that start with prefix)."""
+    used = set(taken)
+    return build_gadget(sym, direction, lambda role: _fresh(f"{prefix}/{role}", used))
+
+
 def compile_machine(m: MinskyMachine) -> CompiledSystem:
     """Compile a two-counter machine into a stack system with a cover target.
 
@@ -171,23 +199,15 @@ def compile_machine(m: MinskyMachine) -> CompiledSystem:
         raise InvalidModelError(diags)
 
     used = set(m.states)
-
-    def fresh(name: str) -> str:
-        while name in used:
-            name += "'"
-        used.add(name)
-        return name
-
-    start = fresh("s'")
-    replay = fresh("b")
-    cover = fresh("t'")
+    start, replay, cover = _fresh("s'", used), _fresh("b", used), _fresh("t'", used)
+    slashed = [s for s in m.states if "/" in s]  # every prefix has a /; keeps compiles linear
 
     states = [start, *m.states]
-    actions = [Action(start, (push(BOTTOM), push(MARKER), push(UNARY)), m.source)]
+    actions = [Action(start, _INIT, m.source)]
     bookkeeping: dict[Gadget, MinskyAction | DeltaSymbol] = {}
 
     def splice(sym, direction, prefix, origin, into, back_to):
-        gadget = build_gadget(sym, direction, lambda role: fresh(f"{prefix}/{role}"))
+        gadget = _block(sym, direction, prefix, tuple(s for s in slashed if s.startswith(prefix)))
         states.extend((gadget.entry, *gadget.internal_states, gadget.exit))
         actions.append(Action(into, (), gadget.entry))
         actions.extend(gadget.actions)
@@ -198,13 +218,11 @@ def compile_machine(m: MinskyMachine) -> CompiledSystem:
         sym = minsky_action_to_symbol(origin)
         splice(sym, FORWARD, f"a{i}/{sym.token}", origin, origin.source, origin.target)
     states.append(replay)
-    actions.append(
-        Action(m.target, (pop(UNARY), pop(MARKER), push(MARKER), push(UNARY)), replay)
-    )
-    for sym in ALPHABET:
-        splice(sym, BACKWARD, f"back-{sym.token}/{sym.token}", sym, replay, replay)
+    actions.append(Action(m.target, _EQUALS_ONE, replay))
+    for sym, prefix in _BACK_PREFIXES:
+        splice(sym, BACKWARD, prefix, sym, replay, replay)
     states.append(cover)
-    actions.append(Action(replay, (pop(UNARY), pop(MARKER), pop(BOTTOM)), cover))
+    actions.append(Action(replay, _FINAL, cover))
 
     system = Prvass(tuple(states), STACK_ALPHABET, tuple(actions))
     return CompiledSystem(system, start, cover, bookkeeping)

@@ -130,6 +130,24 @@ def test_replay_rejects_perturbed_counter():
     assert replay_failure_index(compiled.system, broken) == 5
 
 
+def test_replay_checks_the_named_action_as_well_as_the_configuration():
+    first = Action("s", (INC,), "t")
+    right = Action("t", (), "u")
+    other = Action("t", (INC,), "u")
+    sys = Prvass(("s", "t", "u"), ("x",), (first, right, other))
+    start, mid, end = Configuration("s", (), 0), Configuration("t", (), 1), Configuration("u", (), 1)
+    assert replay_failure_index(sys, Trace(start, ((first, mid), (right, end)))) is None
+    assert replay_failure_index(sys, Trace(start, ((first, mid), (None, end)))) is None
+    # other fires at mid but reaches (u, 2); the second is not in the system but has right's effect
+    for wrong in (other, Action("t", (INC, DEC), "u")):
+        assert replay_failure_index(sys, Trace(start, ((first, mid), (wrong, end)))) == 1
+    # both zero tests reach (t, 0, 0), but the machine has only the one on counter 1
+    m = MinskyMachine(("s", "t"), (MinskyAction("s", 1, "zero", "t"),), "s", "t")
+    start, end = MinskyConfig("s", (0, 0)), MinskyConfig("t", (0, 0))
+    assert replay_failure_index(m, Trace(start, ((m.actions[0], end),))) is None
+    assert replay_failure_index(m, Trace(start, ((MinskyAction("s", 0, "zero", "t"), end),))) == 0
+
+
 def test_empty_trace_replays():
     sys = Prvass(("s",), ("a",), ())
     assert replay_trace(sys, Trace(Configuration("s", (), 0), ()))

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from prvass.formats import serialize_prvass
 from prvass.models import (
     Action,
     Configuration,
@@ -24,6 +25,7 @@ from prvass.reduction import (
     GadgetBoundError,
     InvalidModelError,
     STACK_ALPHABET,
+    _block,
     build_gadget,
     compile_machine,
     gadget_contract_set,
@@ -265,15 +267,61 @@ def test_gadget_hash_agrees_with_equality():
     first, second = compile_machine(m).bookkeeping, compile_machine(m).bookkeeping
     assert len(first) == len(ALPHABET) + len(m.actions)
     assert list(first.items()) == list(second.items())
-    for g, h in zip(first, second):
-        assert g == h and hash(g) == hash(h)
+    # compiles share their gadgets, so compare each with one built apart on the same names
+    for g in first:
+        names = iter((g.entry, *g.internal_states, g.exit))
+        h = build_gadget(g.symbol, g.direction, lambda role: next(names))
+        assert h is not g and h == g and hash(h) == hash(g)
         assert hash(dataclasses.replace(g)) == hash(g)
+    # each compile still owns its bookkeeping
+    kept = list(second.items())
+    first.clear()
+    assert list(second.items()) == kept
+    assert list(compile_machine(m).bookkeeping.items()) == kept
     # the same names wired for another symbol: equal hashes, unequal gadgets
     mult = _gadget("m2", FORWARD)
     div = _gadget("d2", FORWARD)
     assert hash(mult) == hash(div) and mult != div
     shared = {mult: "m2", div: "d2"}
     assert len(shared) == 2 and shared[mult] == "m2" and shared[div] == "d2"
+
+
+def test_gadget_names_do_not_depend_on_compile_order():
+    # a0/m2/q1, a1/d2/q2 and the back-m2 pair collide with gadget names, the
+    # a0/i0 and a1/d1 states only share a gadget's a<i>/ start, and b, t'
+    # and s' collide with the replay, cover and start states
+    odd = ("a0/i0/q1", "a1/d1/q2", "a0/m2/q1", "a1/d2/q2", "back-m2/m2/q1", "back-m2/m2/q1'", "b", "t'", "s'")
+    inc_dec = (MinskyAction("s", 0, "inc", "b"), MinskyAction("b", 0, "dec", "t"))
+    machines = [
+        MinskyMachine(("s", "b", "t"), inc_dec, "s", "t"),
+        MinskyMachine(("s", "t", *odd), inc_dec, "s", "t"),
+        MinskyMachine(("s", "t", *odd), (MinskyAction("s", 0, "inc", "a0/i0/q1"),) + inc_dec[1:], "s", "t"),
+        MinskyMachine(("s", "t", "a0/m2/q1"), (MinskyAction("s", 1, "zero", "t"),), "s", "t"),
+    ]
+
+    def compile_all(ms):
+        return [
+            (serialize_prvass(c.system, init=c.start), list(c.bookkeeping.items()))
+            for c in map(compile_machine, ms)
+        ]
+
+    _block.cache_clear()
+    forward = compile_all(machines)
+    _block.cache_clear()
+    assert compile_all(machines[::-1])[::-1] == forward
+
+    compiled = compile_machine(machines[1])
+    states = compiled.system.states
+    assert validate(compiled.system) == []
+    assert (compiled.start, compiled.cover_target) == ("s''", "t''")
+    assert "b'" in states and "back-m2/m2/q1''" in states
+    entries = [g.entry for g in compiled.bookkeeping]
+    assert entries[0] == "a0/m2/q1'" and entries[2] == "back-m2/m2/q1''"
+    assert list(compiled.bookkeeping)[1].internal_states == ("a1/d2/q2'",)
+    # the near misses prime nothing
+    assert "a0/i0/q1'" not in states and "a1/d1/q2'" not in states
+    # the zero test on counter 1 is a t3 gadget: a0/m2/q1 does not collide with it
+    assert list(compile_machine(machines[3]).bookkeeping)[0].entry == "a0/t3/q1"
 
 
 def test_compile_renames_extra_states_on_collision():
