@@ -70,7 +70,6 @@ from .explorer import (
     replay_trace,
 )
 from .formats import (
-    ModelFile,
     ParseError,
     parse_minsky,
     parse_model_file,

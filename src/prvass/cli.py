@@ -24,7 +24,7 @@ from .explorer import (
     differential_check,
     reachable_set,
 )
-from .models import Configuration, Diagnostic, MinskyConfig, validate
+from .models import Configuration, MinskyConfig, Prvass, validate
 from .formats import parse_model_file, render_trace, serialize_prvass
 from .reduction import compile_machine
 from .relations import check_two_approximations, parse_delta_token, rel_spec
@@ -83,20 +83,16 @@ def _read(path: str) -> str:
 def _load_validated(path: str, kind: str | None = None):
     """Parse and validate a model file, of kind if one is given; returns it with its text, which trace digests hash."""
     text = _read(path)
-    mf = parse_model_file(text)
-    if mf.kind == "minsky":
-        diags = validate(mf.machine)
-    else:
-        diags = validate(mf.system)
-        if mf.init is not None and mf.init not in mf.system.states:
-            diags.append(Diagnostic("init", f"unknown initial state {mf.init!r}"))
+    model = parse_model_file(text)
+    diags = validate(model)
+    found = "prvass" if isinstance(model, Prvass) else "minsky"
     if diags:
         for d in diags:
             print(f"error: {d}", file=sys.stderr)
         raise _UsageError(f"{path}: {len(diags)} validation diagnostic(s)")
-    if kind is not None and mf.kind != kind:
-        raise _UsageError(f"{path}: expected a {kind} file, got a {mf.kind} file")
-    return mf, text
+    if kind is not None and found != kind:
+        raise _UsageError(f"{path}: expected a {kind} file, got a {found} file")
+    return model, text
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -108,9 +104,9 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def cmd_compile(args) -> int:
-    mf, _ = _load_validated(args.machine, "minsky")
-    compiled = compile_machine(mf.machine)
-    text = serialize_prvass(compiled.system, init=compiled.start)
+    machine, _ = _load_validated(args.machine, "minsky")
+    compiled = compile_machine(machine)
+    text = serialize_prvass(compiled.system)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)
     payload = {
@@ -148,15 +144,15 @@ def _claim_trace_path(path: str) -> bool:
 
 
 def cmd_cover(args) -> int:
-    mf, text = _load_validated(args.system, "prvass")
-    start_state = args.start if args.start is not None else mf.init
+    system, text = _load_validated(args.system, "prvass")
+    start_state = args.start if args.start is not None else system.init
     if start_state is None:
         raise _UsageError("no --start given and the file declares no init state")
     bounds = _bounds_from(args)
     trace_created = _claim_trace_path(args.trace_out) if args.trace_out else False
     witness = None
     try:
-        verdict = bounded_cover(mf.system, Configuration(start_state, (), 0), args.target, bounds)
+        verdict = bounded_cover(system, Configuration(start_state, (), 0), args.target, bounds)
         witness = verdict.trace
     finally:
         if witness is None and trace_created:
@@ -188,24 +184,23 @@ def cmd_cover(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    mf, _ = _load_validated(args.model)
+    model, _ = _load_validated(args.model)
     bounds = _bounds_from(args)
+    kind = "prvass" if isinstance(model, Prvass) else "minsky"
     other_family = (
-        {"--counters": args.counters} if mf.kind == "prvass" else {"--stack": args.stack, "--counter": args.counter}
+        {"--counters": args.counters} if kind == "prvass" else {"--stack": args.stack, "--counter": args.counter}
     )
     for flag, value in other_family.items():
         if value is not None:
-            raise _UsageError(f"{flag} does not apply to a {mf.kind} file: {args.model}")
-    if mf.kind == "prvass":
-        state = args.state if args.state is not None else mf.init
-        if state is None:
-            raise _UsageError("no --state given and the file declares no init state")
+            raise _UsageError(f"{flag} does not apply to a {kind} file: {args.model}")
+    state = args.state if args.state is not None else (model.init if kind == "prvass" else model.source)
+    if state is None:
+        raise _UsageError("no --state given and the file declares no init state")
+    if kind == "prvass":
         start = Configuration(state, args.stack or (), args.counter or 0)
-        reach = reachable_set(mf.system, start, bounds)
     else:
-        state = args.state if args.state is not None else mf.machine.source
         start = MinskyConfig(state, args.counters or (0, 0))
-        reach = reachable_set(mf.machine, start, bounds)
+    reach = reachable_set(model, start, bounds)
     states_seen = len({c.state for c in reach.configs})
     payload = {
         "command": "simulate",
@@ -249,9 +244,9 @@ def cmd_prop1(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    mf, _ = _load_validated(args.machine, "minsky")
+    machine, _ = _load_validated(args.machine, "minsky")
     bounds = _bounds_from(args)
-    report = differential_check(mf.machine, bounds, bounds)
+    report = differential_check(machine, bounds, bounds)
     mv = _VERDICT_TOKEN[report.minsky_verdict.outcome]
     pv = _VERDICT_TOKEN[report.prvass_verdict.outcome]
     payload = {

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 
 from .models import (
     Action,
@@ -37,21 +36,8 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-@dataclass(frozen=True)
-class ModelFile:
-    """A parsed model file: its kind line plus the declared model.
-
-    init is the optional initial-state declaration a stack-system file may
-    carry; machine files keep theirs inside the machine itself.
-    """
-
-    kind: str
-    machine: MinskyMachine | None = None
-    system: Prvass | None = None
-    init: str | None = None
-
-
 _TOKEN = re.compile(r"[^\s:,()#]+$")
+_DIGITS = re.compile(r"[0-9]+")  # a trace counter, as render_trace writes it
 
 
 def _significant_lines(text: str):
@@ -80,18 +66,17 @@ def _key_line(lines, key: str, last: int):
     return lineno, line, line.strip()[len(key) + 1 :].split()
 
 
-def parse_model_file(text: str) -> ModelFile:
-    """Parse either model format, dispatching on the kind line."""
+def parse_model_file(text: str) -> MinskyMachine | Prvass:
+    """Parse either model format by its kind line into a MinskyMachine, or a Prvass whose init is its 'init:' line."""
     lines = _significant_lines(text)
     lineno, line = next(lines, (None, None))
     if line is None:
         raise ParseError(1, 1, "empty file: expected a kind line ('minsky' or 'prvass')")
     kind = line.strip()
     if kind == "minsky":
-        return ModelFile("minsky", machine=_parse_machine_body(lines, lineno))
+        return _parse_machine_body(lines, lineno)
     if kind == "prvass":
-        system, init = _parse_system_body(lines, lineno)
-        return ModelFile("prvass", system=system, init=init)
+        return _parse_system_body(lines, lineno)
     raise ParseError(lineno, 1, f"unknown model kind {kind!r} (expected 'minsky' or 'prvass')")
 
 
@@ -138,7 +123,7 @@ def _parse_instruction(token: str, lineno: int, column: int) -> Instruction:
     raise ParseError(lineno, column, f"unknown instruction {token!r}")
 
 
-def _parse_system_body(lines, lineno: int) -> tuple[Prvass, str | None]:
+def _parse_system_body(lines, lineno: int) -> Prvass:
     lineno, line, states = _key_line(lines, "states", lineno)
     states = tuple(_check_token(s, lineno, line, "state") for s in states)
     lineno, line, stack = _key_line(lines, "stack", lineno)
@@ -167,14 +152,14 @@ def _parse_system_body(lines, lineno: int) -> tuple[Prvass, str | None]:
                     raise ParseError(lineno, column, "empty instruction in list")
                 body.append(_parse_instruction(piece.group(1), lineno, column))
         actions.append(Action(src, tuple(body), dst))
-    return Prvass(states, stack, tuple(actions)), init
+    return Prvass(states, stack, tuple(actions), init)
 
 
 def parse_minsky(text: str) -> MinskyMachine:
-    mf = parse_model_file(text)
-    if mf.kind != "minsky":
-        raise ParseError(1, 1, f"expected a minsky file, got kind {mf.kind!r}")
-    return mf.machine
+    model = parse_model_file(text)
+    if not isinstance(model, MinskyMachine):
+        raise ParseError(1, 1, "expected a minsky file, got kind 'prvass'")
+    return model
 
 
 def serialize_minsky(m: MinskyMachine) -> str:
@@ -189,14 +174,15 @@ def serialize_minsky(m: MinskyMachine) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_prvass(sys: Prvass, init: str | None = None) -> str:
+def serialize_prvass(sys: Prvass) -> str:
+    """The canonical text of a stack system; an 'init:' line follows the stack line when sys.init is set."""
     lines = [
         "prvass",
         "states: " + " ".join(sys.states),
         "stack: " + " ".join(sys.stack_alphabet),
     ]
-    if init is not None:
-        lines.append(f"init: {init}")
+    if sys.init is not None:
+        lines.append(f"init: {sys.init}")
     for a in sys.actions:
         rendered = ", ".join(str(i) for i in a.body)
         lines.append(f"{a.source} -> {a.target} :" + (f" {rendered}" if rendered else ""))
@@ -233,11 +219,10 @@ def parse_trace(text: str) -> tuple[str, Trace]:
         if len(cols) != 3:
             raise ParseError(lineno, 1, "expected 'state<TAB>stack<TAB>counter'")
         state, stack_word, counter = cols
-        try:
-            configs.append(Configuration(state, tuple(stack_word.split()), int(counter)))
-        except ValueError:
-            column = len(line) - len(counter) + 1
-            raise ParseError(lineno, column, f"counter is not a natural number: {counter!r}") from None
+        counter = counter.removesuffix("\r")  # a CRLF file's line end
+        if not _DIGITS.fullmatch(counter):
+            raise ParseError(lineno, len(state) + len(stack_word) + 3, f"counter is not a natural number: {counter!r}")
+        configs.append(Configuration(state, tuple(stack_word.split()), int(counter)))
     if not configs:
         raise ParseError(2, 1, "trace has no configurations")
     return digest, Trace(configs[0], tuple((None, c) for c in configs[1:]))

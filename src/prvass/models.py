@@ -60,7 +60,7 @@ class Action:
 
 @dataclass(frozen=True)
 class Prvass:
-    """A stack-and-counter system: states, stack alphabet, actions.
+    """A stack-and-counter system: states, stack alphabet, actions, and an optional initial state.
 
     Declaration order of states and actions is preserved; it fixes the
     successor order and hence every trace and verdict downstream.
@@ -69,6 +69,7 @@ class Prvass:
     states: tuple[str, ...]
     stack_alphabet: tuple[str, ...]
     actions: tuple[Action, ...]
+    init: str | None = None
 
 
 @dataclass(frozen=True)
@@ -233,6 +234,8 @@ def _validate_prvass(sys: Prvass) -> list[Diagnostic]:
                     )
             elif instr.symbol is not None:
                 diags.append(Diagnostic(where, f"instruction {j}: stray symbol on {instr.kind}"))
+    if sys.init is not None and sys.init not in states:
+        diags.append(Diagnostic("init", f"unknown initial state {sys.init!r}"))
     return diags
 
 

@@ -148,10 +148,10 @@ def build_gadget(sym: DeltaSymbol, direction: str, namer: Callable[[str], str]) 
 class CompiledSystem:
     """The compiled stack system plus the bookkeeping to read it back.
 
-    start has no incoming actions and cover_target no outgoing ones; every
-    machine state keeps its name in the compiled control, and bookkeeping
-    maps each glued gadget to the machine action it simulates or, for the
-    backward copies, to its symbol, in the order the gadgets are spliced.
+    start (also system.init) has no incoming actions and cover_target no
+    outgoing ones; every machine state keeps its name in the compiled
+    control, and bookkeeping maps each glued gadget to the machine action it
+    simulates or, for the backward copies, to its symbol, in splice order.
     """
 
     system: Prvass
@@ -224,7 +224,7 @@ def compile_machine(m: MinskyMachine) -> CompiledSystem:
     states.append(cover)
     actions.append(Action(replay, _FINAL, cover))
 
-    system = Prvass(tuple(states), STACK_ALPHABET, tuple(actions))
+    system = Prvass(tuple(states), STACK_ALPHABET, tuple(actions), start)
     return CompiledSystem(system, start, cover, bookkeeping)
 
 

@@ -73,7 +73,7 @@ def test_cover_writes_replayable_trace(workdir, capsys):
     text = system.read_text()
     digest, trace = parse_trace(trace_path.read_text())
     assert digest == system_digest(text)
-    assert replay_trace(parse_model_file(text).system, trace)
+    assert replay_trace(parse_model_file(text), trace)
 
 
 def test_cover_unwritable_trace_out_fails_before_the_search(workdir, monkeypatch, capsys):
@@ -258,6 +258,25 @@ def test_bad_init_line_exits_three_from_every_command(workdir, capsys, init_line
     assert main(["compile", str(bad), str(workdir / "out.prvass")]) == 3
     assert main(["diff", str(bad)]) == 3
     assert "VERDICT" not in capsys.readouterr().out
+
+
+def test_a_file_with_no_init_line_needs_a_start_from_the_command_line(workdir, capsys):
+    system = _compile(workdir, "inc-dec")
+    text = system.read_text()
+    assert "init: s'\n" in text
+    bare = workdir / "no-init.prvass"
+    bare.write_text(text.replace("init: s'\n", ""))
+    capsys.readouterr()
+    assert main(["cover", str(bare), "--target", "t'"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no --start given and the file declares no init state" in captured.err
+    assert main(["simulate", str(bare)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no --state given and the file declares no init state" in captured.err
+    assert main(["simulate", str(bare), "--state", "s'"]) == 0
+    assert "COMPLETE=yes" in capsys.readouterr().out
 
 
 def test_simulate_stack_with_an_empty_segment_names_the_flag(workdir, capsys):

@@ -13,7 +13,6 @@ from prvass.models import (
     validate,
 )
 from prvass.formats import (
-    ModelFile,
     ParseError,
     parse_minsky,
     parse_model_file,
@@ -96,18 +95,19 @@ q2 -> q2 :
 
 
 def test_prvass_action_bodies():
-    sys = parse_model_file(PRVASS_TEXT).system
+    sys = parse_model_file(PRVASS_TEXT)
     assert sys == Prvass(
         ("q1", "q2"),
         ("a", "b"),
         (Action("q1", (pop("a"), INC, INC), "q2"), Action("q2", (), "q2")),
+        "q1",
     )
 
 
 def test_prvass_model_file_round_trip_keeps_init():
-    mf = parse_model_file(PRVASS_TEXT)
-    assert mf.kind == "prvass" and mf.init == "q1"
-    assert serialize_prvass(mf.system, mf.init) == PRVASS_TEXT
+    sys = parse_model_file(PRVASS_TEXT)
+    assert isinstance(sys, Prvass) and sys.init == "q1"
+    assert serialize_prvass(sys) == PRVASS_TEXT
 
 
 def test_prvass_rejects_repeated_init_with_its_line():
@@ -137,7 +137,7 @@ def test_action_line_errors_point_at_the_named_token():
 
 
 def test_unknown_pop_symbol_is_a_validation_diagnostic_not_a_parse_error():
-    sys = parse_model_file(PRVASS_TEXT.replace("pop(a)", "pop(zz)")).system
+    sys = parse_model_file(PRVASS_TEXT.replace("pop(a)", "pop(zz)"))
     messages = [str(d) for d in validate(sys)]
     assert any("zz" in m for m in messages)
 
@@ -171,20 +171,16 @@ def test_truncated_file_reports_the_line_after_its_last(text, line, key):
 
 def test_compiled_system_round_trips():
     compiled = compile_machine(load_machine("inc-dec"))
-    text = serialize_prvass(compiled.system, init=compiled.start)
-    mf = parse_model_file(text)
-    assert mf.system == compiled.system
-    assert mf.init == compiled.start
-    assert serialize_prvass(mf.system, mf.init) == text
-
-
-def test_model_file_docstring_kinds():
-    assert ModelFile("minsky").machine is None
+    text = serialize_prvass(compiled.system)
+    sys = parse_model_file(text)
+    assert sys == compiled.system
+    assert sys.init == compiled.start
+    assert serialize_prvass(sys) == text
 
 
 def test_trace_render_and_parse_round_trip():
     compiled = compile_machine(load_machine("inc-dec"))
-    text = serialize_prvass(compiled.system, init=compiled.start)
+    text = serialize_prvass(compiled.system)
     verdict = bounded_cover(
         compiled.system,
         Configuration(compiled.start, (), 0),
@@ -208,3 +204,20 @@ def test_trace_parse_rejects_missing_header():
     with pytest.raises(ParseError) as exc:
         parse_trace("# sha256: abc\ns\ta\t0\ns\t\t-1\n")
     assert (exc.value.line, exc.value.column) == (3, 4)
+
+
+@pytest.mark.parametrize(
+    "counter",
+    ["+3", " 3", "3 ", "1_0", "٣", "3\r\r", "0x3", ""],
+    ids=["plus", "leading-blank", "trailing-blank", "underscore", "arabic-indic", "two-cr", "hex", "empty"],
+)
+def test_trace_counter_is_ascii_digits_only(counter):
+    with pytest.raises(ParseError) as exc:
+        parse_trace(f"# sha256: abc\ns\ta b\t{counter}\n")
+    assert (exc.value.line, exc.value.column) == (2, 7)
+    assert "counter is not a natural number" in str(exc.value)
+
+
+def test_trace_with_crlf_line_ends_loads_as_with_lf():
+    text = "# sha256: abc\ns\ta\t0\nt\t\t12\n"
+    assert parse_trace(text.replace("\n", "\r\n")) == parse_trace(text)

@@ -4,6 +4,7 @@ from prvass.models import (
     Action,
     Configuration,
     DEC,
+    Diagnostic,
     INC,
     Instruction,
     MinskyAction,
@@ -127,6 +128,16 @@ def test_validate_reports_unknown_state_and_symbol():
     assert any("'x'" in m for m in messages)
     assert any("'z'" in m for m in messages)
     assert len(messages) == 2
+
+
+@pytest.mark.parametrize(
+    "init, expected",
+    [("x", [Diagnostic("init", "unknown initial state 'x'")]), (None, []), ("q", [])],
+    ids=["undeclared", "none", "declared"],
+)
+def test_validate_checks_the_declared_init_state(init, expected):
+    sys = Prvass(("q",), ("a",), (Action("q", (push("a"),), "q"),), init)
+    assert validate(sys) == expected
 
 
 def test_validate_minsky_diagnostics():

@@ -233,7 +233,9 @@ def test_compile_structure():
     assert sys.stack_alphabet == STACK_ALPHABET
     # every machine state keeps its name in the compiled control
     assert set(_inc_dec_machine().states) <= set(sys.states)
-    # the entry state has no incoming actions, the cover target no outgoing
+    # the entry state is the system's init and has no incoming actions, the
+    # cover target no outgoing
+    assert sys.init == compiled.start
     assert all(a.target != compiled.start for a in sys.actions)
     assert all(a.source != compiled.cover_target for a in sys.actions)
     init = [a for a in sys.actions if a.source == compiled.start]
@@ -301,7 +303,7 @@ def test_gadget_names_do_not_depend_on_compile_order():
 
     def compile_all(ms):
         return [
-            (serialize_prvass(c.system, init=c.start), list(c.bookkeeping.items()))
+            (serialize_prvass(c.system), list(c.bookkeeping.items()))
             for c in map(compile_machine, ms)
         ]
 
