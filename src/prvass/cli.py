@@ -75,14 +75,10 @@ def _bounds_from(args) -> Bounds:
     return Bounds(args.max_steps, args.max_stack, args.max_counter, args.max_visited)
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load_validated(path: str, kind: str | None = None):
     """Parse and validate a model file, of kind if one is given; returns it with its text, which trace digests hash."""
-    text = _read(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     model = parse_model_file(text)
     diags = validate(model)
     found = "prvass" if isinstance(model, Prvass) else "minsky"

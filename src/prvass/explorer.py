@@ -290,8 +290,8 @@ def _bfs(family, b: Bounds) -> tuple[Verdict, dict]:
     start), in the order the keys were dequeued, the layer at the depth cap
     included.  Only the witness is decoded, and label names its actions.  A
     None from expand is a successor that a cap dropped.  The layer at depth
-    max_steps is expanded only to learn whether a successor would be
-    dropped; none of its successors is visited.
+    max_steps leaves no room in the visited dict, so each of its new
+    successors is dropped as one past the visited budget would be.
     """
     start, expand, label, decode, is_target = family
     t0 = time.perf_counter()
@@ -310,16 +310,13 @@ def _bfs(family, b: Bounds) -> tuple[Verdict, dict]:
                 steps.reverse()
                 stats = SearchStats(len(parents), frontier_peak, time.perf_counter() - t0)
                 return Verdict(COVERED, Trace(decode(start), tuple(steps)), stats), parents
-        if depth >= b.max_steps:
-            # an earlier drop already forbids an exhaustion claim; None is never a key
-            pruned = pruned or any(succ not in parents for key in layer for succ in expand(key))
-            break
+        room = b.max_visited if depth < b.max_steps else 0
         next_layer = []
         for key in layer:
             for succ in expand(key):
                 if succ in parents:
                     continue
-                if succ is None or len(parents) >= b.max_visited:
+                if succ is None or len(parents) >= room:
                     pruned = True
                     continue
                 parents[succ] = key

@@ -15,6 +15,7 @@ from .models import (
     Action,
     Configuration,
     Instruction,
+    MINSKY_OPS,
     MinskyAction,
     MinskyMachine,
     Prvass,
@@ -38,6 +39,7 @@ class ParseError(ValueError):
 
 _TOKEN = re.compile(r"[^\s:,()#]+$")
 _DIGITS = re.compile(r"[0-9]+")  # a trace counter, as render_trace writes it
+_DIGEST = re.compile(r"[0-9a-f]{64}")  # a trace header's digest, as system_digest gives it
 
 
 def _significant_lines(text: str):
@@ -98,7 +100,7 @@ def _parse_machine_body(lines, lineno: int) -> MinskyMachine:
         if idx not in ("0", "1"):
             column = list(re.finditer(r"\S+", line))[1].start() + 1
             raise ParseError(lineno, column, f"counter index must be 0 or 1, got {idx!r}")
-        if op not in ("inc", "dec", "zero"):
+        if op not in MINSKY_OPS:
             column = list(re.finditer(r"\S+", line))[2].start() + 1
             raise ParseError(lineno, column, f"op must be inc, dec or zero, got {op!r}")
         actions.append(MinskyAction(src, int(idx), op, dst))
@@ -158,7 +160,8 @@ def _parse_system_body(lines, lineno: int) -> Prvass:
 def parse_minsky(text: str) -> MinskyMachine:
     model = parse_model_file(text)
     if not isinstance(model, MinskyMachine):
-        raise ParseError(1, 1, "expected a minsky file, got kind 'prvass'")
+        lineno = next(_significant_lines(text))[0]  # report the kind line
+        raise ParseError(lineno, 1, "expected a minsky file, got kind 'prvass'")
     return model
 
 
@@ -208,9 +211,11 @@ def render_trace(trace: Trace, system_text: str) -> str:
 def parse_trace(text: str) -> tuple[str, Trace]:
     """Parse a trace file into its system digest and an action-less Trace."""
     lines = text.split("\n")
-    if not lines or not lines[0].startswith("# sha256: "):
+    if not lines[0].startswith("# sha256: "):
         raise ParseError(1, 1, "expected a '# sha256: <hex>' header line")
-    digest = lines[0][len("# sha256: ") :].strip()
+    digest = lines[0][len("# sha256: ") :].removesuffix("\r")  # a CRLF file's line end
+    if not _DIGEST.fullmatch(digest):
+        raise ParseError(1, 11, f"digest is not 64 lowercase hex digits: {digest!r}")
     configs = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -219,6 +224,8 @@ def parse_trace(text: str) -> tuple[str, Trace]:
         if len(cols) != 3:
             raise ParseError(lineno, 1, "expected 'state<TAB>stack<TAB>counter'")
         state, stack_word, counter = cols
+        if not state:
+            raise ParseError(lineno, 1, "empty state")
         counter = counter.removesuffix("\r")  # a CRLF file's line end
         if not _DIGITS.fullmatch(counter):
             raise ParseError(lineno, len(state) + len(stack_word) + 3, f"counter is not a natural number: {counter!r}")

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from .models import (
     Action,
@@ -118,7 +117,7 @@ def _shape(sym: DeltaSymbol, direction: str) -> tuple[tuple[int, tuple[Instructi
 _SHAPES = {(sym, d): _shape(sym, d) for sym in ALPHABET for d in (FORWARD, BACKWARD)}
 
 
-def build_gadget(sym: DeltaSymbol, direction: str, namer: Callable[[str], str]) -> Gadget:
+def build_gadget(sym: DeltaSymbol, direction: str, names: tuple[str, str, str]) -> Gadget:
     """Construct the gadget for one operation symbol.
 
     The entry loop transfers the a-block into the counter while applying
@@ -134,12 +133,11 @@ def build_gadget(sym: DeltaSymbol, direction: str, namer: Callable[[str], str]) 
     produces up to factor-many per consumed symbol.
 
     The wiring depends only on the symbol and the direction, so it is built
-    once per pair at import as a name-free shape; this function asks namer
-    for the names of roles q1, q2 and q3, in that order, and puts them in.
+    once per pair at import as a name-free shape; this function puts in
+    names, the names of the entry, the internal state and the exit.
     """
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"unknown direction: {direction!r}")
-    names = (namer("q1"), namer("q2"), namer("q3"))
     actions = tuple(Action(names[i], body, names[j]) for i, body, j in _SHAPES[sym, direction])
     return Gadget(names[0], names[2], (names[1],), actions, sym, direction)
 
@@ -178,7 +176,7 @@ def _fresh(name: str, used: set) -> str:
 def _block(sym: DeltaSymbol, direction: str, prefix: str, taken: tuple[str, ...]) -> Gadget:
     """The gadget named prefix/q1, /q2, /q3, primed past taken (the states that start with prefix)."""
     used = set(taken)
-    return build_gadget(sym, direction, lambda role: _fresh(f"{prefix}/{role}", used))
+    return build_gadget(sym, direction, tuple(_fresh(f"{prefix}/{role}", used) for role in ("q1", "q2", "q3")))
 
 
 def compile_machine(m: MinskyMachine) -> CompiledSystem:

@@ -3,6 +3,8 @@ from pathlib import Path
 import pytest
 
 from prvass.formats import parse_minsky
+from prvass.reduction import FORWARD
+from prvass.relations import WeakMode, rel_spec, weak_member
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -22,6 +24,27 @@ CORPUS_EXPECTED = {
     "tall": True,
     "toggle": False,
 }
+
+
+def expected_exit_set(g, m, record):
+    """The exit set the gadget contract asks of g from entry count m on record.
+
+    Every weak partner of m is at most 3m, the largest factor times m.
+    """
+    spec = rel_spec(g.symbol)
+    if g.direction == FORWARD:
+        return {
+            (record + (g.symbol.token,), n)
+            for n in range(3 * m + 1)
+            if weak_member(spec, WeakMode.FORWARD_WEAK, m, n)
+        }
+    if not record or record[-1] != g.symbol.token:
+        return set()
+    return {
+        (record[:-1], n)
+        for n in range(3 * m + 1)
+        if weak_member(spec, WeakMode.BACKWARD_WEAK, n, m)
+    }
 
 
 def corpus_path(name: str) -> Path:

@@ -167,6 +167,24 @@ def test_depth_bound_downgrades_to_bounds_hit():
     )
     hit = bounded_cover(sys, Configuration("s", (), 0), "t", Bounds(2, 64, 100, 1000))
     assert hit.outcome == BOUNDS_HIT
+    # the layer at the cap is visited, none of its successors is
+    assert (hit.stats.visited, hit.stats.frontier_peak) == (3, 1)
+    # s keeps counter 0 even, so (t, 0, 0) is never reached
+    m = MinskyMachine(
+        ("s", "p", "t"),
+        (
+            MinskyAction("s", 0, "inc", "p"),
+            MinskyAction("p", 0, "inc", "s"),
+            MinskyAction("s", 1, "inc", "s"),
+            MinskyAction("s", 0, "dec", "t"),
+        ),
+        "s",
+        "t",
+    )
+    for max_steps, visited, frontier_peak in ((1, 3, 2), (3, 11, 5)):
+        hit = minsky_bounded_reach(m, Bounds(max_steps, 64, 100, 1000))
+        assert hit.outcome == BOUNDS_HIT
+        assert (hit.stats.visited, hit.stats.frontier_peak) == (visited, frontier_peak)
 
 
 def test_depth_bound_needs_a_dropped_successor():

@@ -34,6 +34,9 @@ s 0 inc q
 q 0 dec t
 """
 
+# a well-formed header for the trace tests that do not check the digest
+HEADER = f"# sha256: {system_digest('')}"
+
 
 def test_parse_minsky_inc_dec():
     m = parse_minsky(INC_DEC_TEXT)
@@ -49,14 +52,19 @@ def test_parse_minsky_bad_op_names_line():
     text = INC_DEC_TEXT.replace("q 0 dec t", "q 0 foo t")
     with pytest.raises(ParseError) as exc:
         parse_minsky(text)
-    assert exc.value.line == 6
-    assert "foo" in str(exc.value)
+    assert str(exc.value) == "line 6, column 5: op must be inc, dec or zero, got 'foo'"
 
 
 def test_parse_minsky_bad_counter_index():
     with pytest.raises(ParseError) as exc:
         parse_minsky(INC_DEC_TEXT.replace("s 0 inc q", "s 7 inc q"))
     assert "0 or 1" in str(exc.value)
+
+
+def test_parse_minsky_reports_a_stack_system_at_its_kind_line():
+    with pytest.raises(ParseError) as exc:
+        parse_minsky("# c\n\nprvass\nstates: s\nstack: a\n")
+    assert str(exc.value) == "line 3, column 1: expected a minsky file, got kind 'prvass'"
 
 
 def test_bad_name_token_reports_its_column_in_the_line():
@@ -200,9 +208,9 @@ def test_trace_parse_rejects_missing_header():
     with pytest.raises(ParseError):
         parse_trace("s\t\t0\n")
     with pytest.raises(ParseError):
-        parse_trace("# sha256: abc\ns\t\tnot-a-number\n")
+        parse_trace(f"{HEADER}\ns\t\tnot-a-number\n")
     with pytest.raises(ParseError) as exc:
-        parse_trace("# sha256: abc\ns\ta\t0\ns\t\t-1\n")
+        parse_trace(f"{HEADER}\ns\ta\t0\ns\t\t-1\n")
     assert (exc.value.line, exc.value.column) == (3, 4)
 
 
@@ -213,11 +221,31 @@ def test_trace_parse_rejects_missing_header():
 )
 def test_trace_counter_is_ascii_digits_only(counter):
     with pytest.raises(ParseError) as exc:
-        parse_trace(f"# sha256: abc\ns\ta b\t{counter}\n")
+        parse_trace(f"{HEADER}\ns\ta b\t{counter}\n")
     assert (exc.value.line, exc.value.column) == (2, 7)
     assert "counter is not a natural number" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("# sha256: abc\ns\ta\t0\n", (1, 11)),
+        ("# sha256: not-hex at all\ns\ta\t0\n", (1, 11)),
+        ("# sha256: \ns\ta\t0\n", (1, 11)),
+        (f"# sha256: {system_digest('').upper()}\ns\ta\t0\n", (1, 11)),
+        (f"{HEADER}0\ns\ta\t0\n", (1, 11)),
+        (f"{HEADER} \ns\ta\t0\n", (1, 11)),
+        (f"{HEADER}\n\ta\t0\n", (2, 1)),
+        (f"{HEADER}\ns\ta\t0\n\t\t1\r\n", (3, 1)),
+    ],
+    ids=["short", "not-hex", "empty", "upper-case", "65-digits", "trailing-blank", "empty-state", "later-empty-state"],
+)
+def test_trace_rejects_a_malformed_digest_or_an_empty_state(text, position):
+    with pytest.raises(ParseError) as exc:
+        parse_trace(text)
+    assert (exc.value.line, exc.value.column) == position
+
+
 def test_trace_with_crlf_line_ends_loads_as_with_lf():
-    text = "# sha256: abc\ns\ta\t0\nt\t\t12\n"
+    text = f"{HEADER}\ns\ta\t0\nt\t\t12\n"
     assert parse_trace(text.replace("\n", "\r\n")) == parse_trace(text)

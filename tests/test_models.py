@@ -84,8 +84,7 @@ def test_successors_dead_end_is_legal():
 def test_successors_in_mult_gadget_blocks_middle_action():
     # from the gadget entry with two trailing a symbols, only the entry loop
     # fires; the middle action needs the marker on top
-    names = iter(("q1", "q2", "q3"))
-    g = build_gadget(parse_delta_token("m2"), FORWARD, lambda role: next(names))
+    g = build_gadget(parse_delta_token("m2"), FORWARD, ("q1", "q2", "q3"))
     sys = Prvass(("q1", "q2", "q3"), STACK_ALPHABET, g.actions)
     succs = successors(sys, Configuration("q1", ("bot", "hash", "a", "a"), 0))
     assert len(succs) == 1
@@ -116,8 +115,7 @@ def test_negative_counter_is_rejected_at_construction():
 
 
 def test_validate_well_formed_gadget():
-    names = iter(("q1", "q2", "q3"))
-    g = build_gadget(parse_delta_token("m2"), FORWARD, lambda role: next(names))
+    g = build_gadget(parse_delta_token("m2"), FORWARD, ("q1", "q2", "q3"))
     sys = Prvass(("q1", "q2", "q3"), STACK_ALPHABET, g.actions)
     assert validate(sys) == []
 
@@ -219,8 +217,7 @@ def test_successors_agree_with_micro_step_expansion():
     # longer realistic bodies: every contiguous slice of each gadget body
     for token in ("m2", "m3", "d3", "t3"):
         for direction in ("forward", "backward"):
-            names = iter(("g1", "g2", "g3"))
-            g = build_gadget(parse_delta_token(token), direction, lambda role: next(names))
+            g = build_gadget(parse_delta_token(token), direction, ("g1", "g2", "g3"))
             for action in g.actions:
                 for i in range(len(action.body)):
                     for j in range(i + 1, len(action.body) + 1):

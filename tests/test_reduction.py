@@ -35,16 +35,14 @@ from prvass.relations import (
     DIV,
     MULT,
     TEST,
-    WeakMode,
     parse_delta_token,
-    rel_spec,
-    weak_member,
 )
+
+from conftest import expected_exit_set
 
 
 def _gadget(token, direction, prefix="g"):
-    names = iter((f"{prefix}1", f"{prefix}2", f"{prefix}3"))
-    return build_gadget(parse_delta_token(token), direction, lambda role: next(names))
+    return build_gadget(parse_delta_token(token), direction, (f"{prefix}1", f"{prefix}2", f"{prefix}3"))
 
 
 def test_forward_mult2_reference_wiring():
@@ -84,17 +82,15 @@ def test_forward_test3_has_one_middle_action_per_remainder():
 
 
 def test_gadget_direction_validation():
-    calls = []
     with pytest.raises(ValueError):
-        build_gadget(parse_delta_token("m2"), "sideways", calls.append)
-    assert calls == []
+        build_gadget(parse_delta_token("m2"), "sideways", ("g1", "g2", "g3"))
 
 
-def _reference_gadget(sym, direction, namer):
+def _reference_gadget(sym, direction, names):
     # the wiring as it was written before gadgets were instantiated from a
     # shared shape table: every instruction built afresh for every gadget
     f = sym.factor
-    q1, q2, q3 = namer("q1"), namer("q2"), namer("q3")
+    q1, q2, q3 = names
     consume_one = (pop("a"),) + (INC,) * f
     consume_group = (pop("a"),) * f + (INC,)
     if sym.kind == MULT:
@@ -122,15 +118,9 @@ def _reference_gadget(sym, direction, namer):
 @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
 @pytest.mark.parametrize("sym", ALPHABET, ids=str)
 def test_gadget_matches_the_reference_wiring(sym, direction):
-    roles = []
-
-    def namer(role):
-        roles.append(role)
-        return f"x/{role}"
-
-    got = build_gadget(sym, direction, namer)
-    assert roles == ["q1", "q2", "q3"]
-    want = _reference_gadget(sym, direction, lambda role: f"x/{role}")
+    names = ("x/q1", "x/q2", "x/q3")
+    got = build_gadget(sym, direction, names)
+    want = _reference_gadget(sym, direction, names)
     for field in dataclasses.fields(Gadget):
         assert getattr(got, field.name) == getattr(want, field.name), field.name
 
@@ -154,23 +144,6 @@ def test_contract_backward_requires_matching_record_symbol():
     assert gadget_contract_set(_gadget("m2", BACKWARD), 6, (), 60) == set()
 
 
-def _expected_contract(g, m, record):
-    spec = rel_spec(g.symbol)
-    if g.direction == FORWARD:
-        return {
-            (record + (g.symbol.token,), n)
-            for n in range(3 * m + 1)
-            if weak_member(spec, WeakMode.FORWARD_WEAK, m, n)
-        }
-    if not record or record[-1] != g.symbol.token:
-        return set()
-    return {
-        (record[:-1], n)
-        for n in range(3 * m + 1)
-        if weak_member(spec, WeakMode.BACKWARD_WEAK, n, m)
-    }
-
-
 def test_contract_equality_small_grid():
     # the full grid (m <= 12, records of length <= 2) runs in the acceptance
     # suite; this keeps a quick version on every gadget
@@ -181,7 +154,7 @@ def test_contract_equality_small_grid():
             for m in range(7):
                 for record in records:
                     got = gadget_contract_set(g, m, record, 80)
-                    assert got == _expected_contract(g, m, record), (sym.token, direction, m, record)
+                    assert got == expected_exit_set(g, m, record), (sym.token, direction, m, record)
 
 
 def test_contract_bound_exhaustion_raises():
@@ -271,8 +244,7 @@ def test_gadget_hash_agrees_with_equality():
     assert list(first.items()) == list(second.items())
     # compiles share their gadgets, so compare each with one built apart on the same names
     for g in first:
-        names = iter((g.entry, *g.internal_states, g.exit))
-        h = build_gadget(g.symbol, g.direction, lambda role: next(names))
+        h = build_gadget(g.symbol, g.direction, (g.entry, *g.internal_states, g.exit))
         assert h is not g and h == g and hash(h) == hash(g)
         assert hash(dataclasses.replace(g)) == hash(g)
     # each compile still owns its bookkeeping
