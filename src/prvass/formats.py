@@ -224,8 +224,8 @@ def parse_trace(text: str) -> tuple[str, Trace]:
         if len(cols) != 3:
             raise ParseError(lineno, 1, "expected 'state<TAB>stack<TAB>counter'")
         state, stack_word, counter = cols
-        if not state:
-            raise ParseError(lineno, 1, "empty state")
+        if not _TOKEN.match(state):
+            raise ParseError(lineno, 1, f"bad state token {state!r}")
         counter = counter.removesuffix("\r")  # a CRLF file's line end
         if not _DIGITS.fullmatch(counter):
             raise ParseError(lineno, len(state) + len(stack_word) + 3, f"counter is not a natural number: {counter!r}")

@@ -1,8 +1,11 @@
+import itertools
 from pathlib import Path
 
 import pytest
 
+from prvass.explorer import Bounds
 from prvass.formats import parse_minsky
+from prvass.models import MinskyAction, MinskyMachine
 from prvass.reduction import FORWARD
 from prvass.relations import WeakMode, rel_spec, weak_member
 
@@ -24,6 +27,34 @@ CORPUS_EXPECTED = {
     "tall": True,
     "toggle": False,
 }
+
+# the bounds of the small-machine sweep, which are also the benchmark's
+SWEEP_BOUNDS = Bounds(max_steps=10_000, max_stack=48, max_counter=1000, max_visited=20_000)
+
+
+def small_machines() -> list[MinskyMachine]:
+    """All 1 485 machines over the states {s, p, t} (source s, target t) with one or two distinct actions."""
+    states = ("s", "p", "t")
+    actions = [
+        MinskyAction(*action)
+        for action in itertools.product(states, (0, 1), ("inc", "dec", "zero"), states)
+    ]
+    bodies = [(a,) for a in actions] + list(itertools.combinations(actions, 2))
+    return [MinskyMachine(states, body, "s", "t") for body in bodies]
+
+
+class FiniteRelation:
+    """Test-only relation given by an explicit finite partial function."""
+
+    def __init__(self, pairs):
+        self._map = dict(pairs)
+
+    def apply(self, m):
+        return self._map.get(m)
+
+    def left_ceiling(self, n):
+        preimages = [p for p, v in self._map.items() if v == n]
+        return max(preimages) if preimages else -1
 
 
 def expected_exit_set(g, m, record):

@@ -1,14 +1,19 @@
+import dataclasses
 import json
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from prvass.cli import main
-from prvass.explorer import replay_trace
+from prvass.explorer import Bounds, differential_check, replay_trace
 from prvass.formats import parse_model_file, parse_trace, system_digest
+from prvass.relations import TwoApproximationsReport
 
-from conftest import corpus_path
+from conftest import corpus_path, load_machine
 
 
 @pytest.fixture()
@@ -143,6 +148,19 @@ def test_prop1_json(capsys):
     }
 
 
+def _counterexample(sequence, domain):
+    # a counterexample would disprove the identity, so one is staged
+    return TwoApproximationsReport(tuple(sequence), domain, False, (3, 4))
+
+
+def test_prop1_counterexample_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr("prvass.cli.check_two_approximations", _counterexample)
+    assert main(["prop1", "m2", "d2", "--domain", "10"]) == 1
+    assert capsys.readouterr().out == "SEQUENCE=m2 d2\nRESULT=counterexample\ncounterexample m=3 n=4\n"
+    assert main(["prop1", "m2", "d2", "--domain", "10", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["counterexample"] == [3, 4]
+
+
 def test_prop1_bad_token_is_usage_error(capsys):
     assert main(["prop1", "m5", "--domain", "10"]) == 3
 
@@ -169,6 +187,20 @@ def test_diff_times_each_side_on_stderr(workdir, capsys):
 def test_diff_inconclusive_exits_two(workdir, capsys):
     assert main(["diff", str(workdir / "big-counter.minsky")]) == 2
     assert "RESULT=inconclusive" in capsys.readouterr().out
+
+
+def test_diff_disagree_exits_one(workdir, capsys, monkeypatch):
+    # a disagreement would be a fault of the construction, so one is staged:
+    # inc-dec's machine side (covered) against inc-only's compiled side (no cover)
+    no_cover = differential_check(load_machine("inc-only"), Bounds(), Bounds()).prvass_verdict
+    monkeypatch.setattr(
+        "prvass.cli.differential_check",
+        lambda m, b_minsky, b_prvass: dataclasses.replace(
+            differential_check(m, b_minsky, b_prvass), prvass_verdict=no_cover, status="disagree"
+        ),
+    )
+    assert main(["diff", str(workdir / "inc-dec.minsky")]) == 1
+    assert capsys.readouterr().out == "MINSKY=covered\nPRVASS=no-cover\nRESULT=disagree\n"
 
 
 def test_simulate_minsky_complete(workdir, capsys):
@@ -309,3 +341,14 @@ def test_command_on_the_other_kind_of_file_names_the_expected_kind(workdir, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"expected a {expected} file" in captured.err
+
+
+def test_the_package_root_exports_nothing_and_loads_no_module():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import prvass; "
+        "print(sorted(n for n in vars(prvass) if not n.startswith('_'))); "
+        "print(sorted(n for n in sys.modules if n.startswith('prvass.')))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n[]\n"

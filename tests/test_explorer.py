@@ -35,8 +35,7 @@ from prvass.models import (
 )
 from prvass.reduction import compile_machine
 
-from conftest import CORPUS_EXPECTED, load_machine
-from test_sweep import SWEEP_BOUNDS, small_machines
+from conftest import CORPUS_EXPECTED, SWEEP_BOUNDS, load_machine, small_machines
 
 GENEROUS = Bounds(1_000_000, 64, 10_000, 1_000_000)
 

@@ -177,6 +177,72 @@ def test_truncated_file_reports_the_line_after_its_last(text, line, key):
     assert f"expected a {key!r} line" in str(err.value)
 
 
+MINSKY_HEAD = "minsky\nstates: s t\n"
+PRVASS_HEAD = "prvass\nstates: q1 q2\nstack: a\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, message",
+    [
+        (parse_minsky, MINSKY_HEAD + "init: s t\nfinal: t\n", 3, "expected exactly one initial state"),
+        (parse_minsky, MINSKY_HEAD + "init:\nfinal: t\n", 3, "expected exactly one initial state"),
+        (parse_minsky, MINSKY_HEAD + "init: s\nfinal:\n", 4, "expected exactly one final state"),
+        (parse_minsky, MINSKY_HEAD + "init: s\nfinal: s t\n", 4, "expected exactly one final state"),
+        (
+            parse_minsky,
+            MINSKY_HEAD + "init: s\nfinal: t\ns 0 inc\n",
+            5,
+            "expected 'source counter op target', got 's 0 inc'",
+        ),
+        (
+            parse_minsky,
+            MINSKY_HEAD + "init: s\nfinal: t\ns 0 inc t t\n",
+            5,
+            "expected 'source counter op target', got 's 0 inc t t'",
+        ),
+        (parse_model_file, PRVASS_HEAD + "init: q1 q2\n", 4, "expected exactly one initial state"),
+        (parse_model_file, PRVASS_HEAD + "init:\n", 4, "expected exactly one initial state"),
+        (
+            parse_model_file,
+            PRVASS_HEAD + "q1 -> q2 :\nq1 q2\n",
+            5,
+            "expected 'source -> target : instructions', got 'q1 q2'",
+        ),
+        (
+            parse_model_file,
+            PRVASS_HEAD + "q1 -> q2 inc\n",
+            4,
+            "expected 'source -> target : instructions', got 'q1 -> q2 inc'",
+        ),
+        (parse_trace, f"{HEADER}\ns\ta 0\n", 2, "expected 'state<TAB>stack<TAB>counter'"),
+        (parse_trace, f"{HEADER}\ns\ta\t0\ns\ta\t0\t\n", 3, "expected 'state<TAB>stack<TAB>counter'"),
+        (parse_trace, f"{HEADER}\n", 2, "trace has no configurations"),
+        (parse_trace, f"{HEADER}\n\n  \n", 2, "trace has no configurations"),
+    ],
+    ids=[
+        "minsky-two-inits",
+        "minsky-no-init",
+        "minsky-no-final",
+        "minsky-two-finals",
+        "minsky-three-fields",
+        "minsky-five-fields",
+        "prvass-two-inits",
+        "prvass-no-init",
+        "prvass-no-arrow",
+        "prvass-no-colon",
+        "trace-two-columns",
+        "trace-four-columns",
+        "trace-header-only",
+        "trace-blank-lines-only",
+    ],
+)
+def test_a_malformed_line_is_reported_at_its_first_column(parse, text, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (line, 1)
+    assert str(exc.value) == f"line {line}, column 1: {message}"
+
+
 def test_compiled_system_round_trips():
     compiled = compile_machine(load_machine("inc-dec"))
     text = serialize_prvass(compiled.system)
@@ -249,3 +315,14 @@ def test_trace_rejects_a_malformed_digest_or_an_empty_state(text, position):
 def test_trace_with_crlf_line_ends_loads_as_with_lf():
     text = f"{HEADER}\ns\ta\t0\nt\t\t12\n"
     assert parse_trace(text.replace("\n", "\r\n")) == parse_trace(text)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [" s x:", "s x", " s", "s ", "s:", "s,t", "f(s)", "s#1", "s\r"],
+    ids=["blanks-and-colon", "inner-blank", "leading-blank", "trailing-blank", "colon", "comma", "parens", "hash", "cr"],
+)
+def test_trace_state_is_a_name_token(state):
+    with pytest.raises(ParseError) as exc:
+        parse_trace(f"{HEADER}\ns\ta\t0\n{state}\ta\t1\n")
+    assert str(exc.value) == f"line 3, column 1: bad state token {state!r}"

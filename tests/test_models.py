@@ -20,6 +20,7 @@ from prvass.models import (
     successors,
     validate,
 )
+from prvass.explorer import _effect
 from prvass.reduction import FORWARD, STACK_ALPHABET, build_gadget
 from prvass.relations import parse_delta_token
 
@@ -145,6 +146,72 @@ def test_validate_minsky_diagnostics():
     assert any("'x'" in m_ for m_ in messages)
     assert any("counter index" in m_ for m_ in messages)
     assert any("'foo'" in m_ for m_ in messages)
+
+
+def _one_action(*body, source="q"):
+    return Prvass(("q",), ("a",), (Action(source, body, "q"),))
+
+
+@pytest.mark.parametrize(
+    "model, expected",
+    [
+        (Prvass(("q", "q"), ("a",), ()), [Diagnostic("states", "duplicate state declaration")]),
+        (Prvass(("q",), ("a", "a"), ()), [Diagnostic("stack", "duplicate stack symbol declaration")]),
+        (_one_action(source="x"), [Diagnostic("action[0] x -> q", "unknown source state 'x'")]),
+        (_one_action(INC, Instruction("warp")), [Diagnostic("action[0] q -> q", "instruction 1: unknown kind 'warp'")]),
+        (_one_action(Instruction("inc", "a")), [Diagnostic("action[0] q -> q", "instruction 0: stray symbol on inc")]),
+        (_one_action(Instruction("dec", "a")), [Diagnostic("action[0] q -> q", "instruction 0: stray symbol on dec")]),
+        (
+            _one_action(push("a"), Instruction("reset", "a")),
+            [Diagnostic("action[0] q -> q", "instruction 1: stray symbol on reset")],
+        ),
+        (MinskyMachine(("s", "s", "t"), (), "s", "t"), [Diagnostic("states", "duplicate state declaration")]),
+        (MinskyMachine(("s", "t"), (), "x", "t"), [Diagnostic("init", "unknown initial state 'x'")]),
+        (
+            MinskyMachine(("s", "t"), (MinskyAction("x", 0, "inc", "t"),), "s", "t"),
+            [Diagnostic("action[0] x -> t", "unknown source state 'x'")],
+        ),
+    ],
+    ids=[
+        "prvass-duplicate-state",
+        "prvass-duplicate-symbol",
+        "prvass-unknown-source",
+        "prvass-unknown-kind",
+        "prvass-stray-symbol-on-inc",
+        "prvass-stray-symbol-on-dec",
+        "prvass-stray-symbol-on-reset",
+        "minsky-duplicate-state",
+        "minsky-unknown-init",
+        "minsky-unknown-source",
+    ],
+)
+def test_validate_reports_each_fault_where_it_is(model, expected):
+    assert validate(model) == expected
+
+
+def test_validate_rejects_what_is_not_a_model():
+    with pytest.raises(TypeError, match="^cannot validate Configuration$"):
+        validate(Configuration("q", (), 0))
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        (lambda: step_instruction(((), 0), Instruction("warp")), "unknown instruction kind: 'warp'"),
+        (lambda: _effect((INC, Instruction("warp"))), "unknown instruction kind: 'warp'"),
+        (
+            lambda: minsky_successors(
+                MinskyMachine(("s",), (MinskyAction("s", 0, "warp", "s"),), "s", "s"), MinskyConfig("s", (0, 0))
+            ),
+            "unknown counter op: 'warp'",
+        ),
+    ],
+    ids=["step_instruction", "explorer-effect", "minsky_successors"],
+)
+def test_an_unknown_kind_or_op_is_a_value_error(step, message):
+    with pytest.raises(ValueError) as exc:
+        step()
+    assert str(exc.value) == message
 
 
 def _oracle_step(sc, instr):

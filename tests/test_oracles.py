@@ -22,6 +22,8 @@ from prvass.relations import (
     rel_spec,
 )
 
+from conftest import FiniteRelation
+
 
 def test_single_mult_holds():
     report = check_two_approximations([rel_spec("m2")], 50)
@@ -33,22 +35,10 @@ def test_three_step_sequence_holds():
     assert report.holds
 
 
-class _FiniteRelation:
-    def __init__(self, pairs):
-        self._map = dict(pairs)
-
-    def apply(self, m):
-        return self._map.get(m)
-
-    def left_ceiling(self, n):
-        preimages = [p for p, v in self._map.items() if v == n]
-        return max(preimages) if preimages else -1
-
-
 def test_monotonicity_hypothesis_is_necessary():
     # the crossing relation {(0,1), (1,0)} is not strictly monotone and the
     # identity fails on it: (0,0) is in both weak compositions but not exact
-    broken = _FiniteRelation([(0, 1), (1, 0)])
+    broken = FiniteRelation([(0, 1), (1, 0)])
     report = check_two_approximations([broken], 10)
     assert not report.holds
     assert report.counterexample == (0, 0)
@@ -81,7 +71,7 @@ def test_monotone_pairs_lemma_examples():
 
 
 def test_lemma_violated_by_broken_relation():
-    report = check_monotone_pairs_lemma([_FiniteRelation([(0, 1), (1, 0)])], 10)
+    report = check_monotone_pairs_lemma([FiniteRelation([(0, 1), (1, 0)])], 10)
     assert not report.holds
     (m, n), (m_back, n_back) = report.violation
     assert n_back <= n and m_back > m
@@ -182,7 +172,7 @@ def _random_finite_sequences(count, seed):
         seq = []
         for _ in range(rng.randint(1, 3)):
             domain = rng.sample(range(13), rng.randint(0, 13))
-            seq.append(_FiniteRelation((p, rng.randint(0, 12)) for p in domain))
+            seq.append(FiniteRelation((p, rng.randint(0, 12)) for p in domain))
         out.append(seq)
     return out
 

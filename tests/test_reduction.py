@@ -162,6 +162,12 @@ def test_contract_bound_exhaustion_raises():
         gadget_contract_set(_gadget("m3", FORWARD), 10, (), 4)
 
 
+def test_contract_rejects_a_negative_entry_count():
+    with pytest.raises(ValueError) as exc:
+        gadget_contract_set(_gadget("m2", FORWARD), -1, (), 20)
+    assert str(exc.value) == "entry count must be non-negative, got -1"
+
+
 def _one_action_gadget(body):
     # a hand-built gadget whose single action goes straight from entry to exit
     return Gadget("e1", "e3", ("e2",), (Action("e1", body, "e3"),), parse_delta_token("m2"), FORWARD)

@@ -17,6 +17,8 @@ from prvass.relations import (
     weak_member,
 )
 
+from conftest import FiniteRelation
+
 
 def test_encode_examples():
     assert godel_encode(0, 0) == 1
@@ -30,6 +32,22 @@ def test_decode_examples():
     assert godel_decode(10) is None  # factor 5
     with pytest.raises(ValueError):
         godel_decode(0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: weak_member(rel_spec("m2"), "exact", 1, 2), "unknown mode: 'exact'"),
+        (lambda: godel_encode(-1, 0), "counters must be non-negative, got (-1, 0)"),
+        (lambda: godel_encode(2, -3), "counters must be non-negative, got (2, -3)"),
+        (lambda: DeltaSymbol("add", 2), "unknown relation kind: 'add'"),
+    ],
+    ids=["weak-member-mode", "encode-negative-first", "encode-negative-second", "delta-kind"],
+)
+def test_a_bad_argument_is_a_value_error_that_names_it(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_encode_decode_round_trip():
@@ -104,30 +122,16 @@ def test_all_six_primitives_strictly_monotone():
         assert is_strictly_monotone(rel_spec(sym), 100)
 
 
-class _FiniteRelation:
-    """Test-only relation given by an explicit finite partial function."""
-
-    def __init__(self, pairs):
-        self._map = dict(pairs)
-
-    def apply(self, m):
-        return self._map.get(m)
-
-    def left_ceiling(self, n):
-        preimages = [p for p, v in self._map.items() if v == n]
-        return max(preimages) if preimages else -1
-
-
 def test_broken_relation_is_not_monotone():
-    assert not is_strictly_monotone(_FiniteRelation([(0, 1), (1, 0)]), 10)
+    assert not is_strictly_monotone(FiniteRelation([(0, 1), (1, 0)]), 10)
     # equal images
-    assert not is_strictly_monotone(_FiniteRelation([(0, 1), (1, 1)]), 10)
+    assert not is_strictly_monotone(FiniteRelation([(0, 1), (1, 1)]), 10)
     # a gap in the domain between the crossing pairs
-    assert not is_strictly_monotone(_FiniteRelation([(0, 2), (5, 1)]), 10)
+    assert not is_strictly_monotone(FiniteRelation([(0, 2), (5, 1)]), 10)
     # the first pair crosses the last one
-    assert not is_strictly_monotone(_FiniteRelation([(0, 5), (1, 6), (2, 7), (3, 1)]), 10)
+    assert not is_strictly_monotone(FiniteRelation([(0, 5), (1, 6), (2, 7), (3, 1)]), 10)
     # a crossing beyond the domain bound is not looked at
-    assert is_strictly_monotone(_FiniteRelation([(0, 5), (1, 6), (2, 7), (3, 1)]), 2)
+    assert is_strictly_monotone(FiniteRelation([(0, 5), (1, 6), (2, 7), (3, 1)]), 2)
 
 
 def test_minsky_action_to_symbol_table():

@@ -11,29 +11,17 @@ text of every compiled system, which the goldens pin for 13 machines only.
 """
 
 import hashlib
-import itertools
 from collections import Counter
 
 import pytest
 
 from prvass import explorer
-from prvass.explorer import BOUNDS_HIT, Bounds, differential_check, replay_trace
+from prvass.explorer import BOUNDS_HIT, differential_check, replay_trace
 from prvass.formats import serialize_prvass
-from prvass.models import MinskyAction, MinskyMachine
 from prvass.reduction import compile_machine
 from prvass.relations import ALPHABET
 
-STATES = ("s", "p", "t")
-SWEEP_BOUNDS = Bounds(max_steps=10_000, max_stack=48, max_counter=1000, max_visited=20_000)
-
-
-def small_machines() -> list[MinskyMachine]:
-    actions = [
-        MinskyAction(*action)
-        for action in itertools.product(STATES, (0, 1), ("inc", "dec", "zero"), STATES)
-    ]
-    bodies = [(a,) for a in actions] + list(itertools.combinations(actions, 2))
-    return [MinskyMachine(STATES, body, "s", "t") for body in bodies]
+from conftest import SWEEP_BOUNDS, small_machines
 
 
 def _sweep():
