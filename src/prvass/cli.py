@@ -196,10 +196,10 @@ def cmd_simulate(args) -> int:
     else:
         start = MinskyConfig(state, args.counters or (0, 0))
     reach = reachable_set(model, start, bounds)
-    states_seen = len({c.state for c in reach.configs})
+    states_seen = len(set(map(reach.state, reach.keys)))
     payload = {
         "command": "simulate",
-        "reachable": len(reach.configs),
+        "reachable": len(reach.keys),
         "complete": reach.complete,
         "states_seen": states_seen,
     }
@@ -207,7 +207,7 @@ def cmd_simulate(args) -> int:
         args,
         payload,
         [
-            f"REACHABLE={len(reach.configs)}",
+            f"REACHABLE={len(reach.keys)}",
             f"COMPLETE={'yes' if reach.complete else 'no'}",
             f"states_seen={states_seen}",
         ],

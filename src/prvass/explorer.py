@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from operator import attrgetter, itemgetter
 
 from .models import (
     DEC_KIND,
@@ -218,14 +219,15 @@ def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set, targ
 
 
 def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None = None):
-    """The model family's (start key, expand, label, decode, is_target); the one place the search dispatches on it.
+    """The model family's (start key, expand, label, decode, is_target, state); the one place the search dispatches on it.
 
     expand(key) lists the successor keys in action declaration order, with
     None for each successor that a stack or counter cap drops; label(key,
     succ) is the first action, in declaration order, that takes key to succ;
     decode(key) is the configuration a key stands for; is_target(key) is
     whether it is in the target state, or for a two-counter machine equals
-    (target, 0, 0), and is never true without a target.  Two-counter
+    (target, 0, 0), and is never true without a target; state(key) is its
+    control state, read without decoding it.  Two-counter
     configurations are their own keys.  A start that itself violates a cap
     cannot be expanded honestly, so it expands to one dropped successor.
     When a target is named, expand leaves out every action into a state with
@@ -246,6 +248,7 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None 
             if symbol not in alphabet:
                 raise ValueError(f"start stack symbol {symbol!r} not in the stack alphabet")
         start_key, expand, label, decode, is_target = _prvass_family(model, start, b, live, target)
+        state = itemgetter(0)
         over_cap = len(start.stack) > b.max_stack or start.counter > b.max_counter
     else:
         relevant = replace(model, actions=tuple(a for a in model.actions if a.target in live))
@@ -259,9 +262,9 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None 
             return next(action for action, c in minsky_successors(relevant, cfg) if c == succ)
 
         goal = MinskyConfig(target, (0, 0))
-        start_key, decode, is_target = start, _identity, lambda cfg: cfg == goal
+        start_key, decode, is_target, state = start, _identity, lambda cfg: cfg == goal, attrgetter("state")
         over_cap = max(start.counters) > cap
-    return start_key, (lambda key: [None]) if over_cap else expand, label, decode, is_target
+    return start_key, (lambda key: [None]) if over_cap else expand, label, decode, is_target, state
 
 
 def _coreachable(actions, target: str) -> set:
@@ -293,7 +296,7 @@ def _bfs(family, b: Bounds) -> tuple[Verdict, dict]:
     max_steps leaves no room in the visited dict, so each of its new
     successors is dropped as one past the visited budget would be.
     """
-    start, expand, label, decode, is_target = family
+    start, expand, label, decode, is_target, _ = family
     t0 = time.perf_counter()
     parents: dict = {start: None}
     layer = [start]
@@ -349,23 +352,25 @@ def minsky_bounded_reach(m: MinskyMachine, b: Bounds) -> Verdict:
 
 @dataclass(frozen=True)
 class ReachableSet:
-    """The configurations discovered by a bounded closure, in discovery order."""
+    """The keys a bounded closure visited, in dequeue order, with the family's decode and state."""
 
-    configs: tuple
+    keys: object  # the search's visited dict's keys, not a copy
+    decode: object
+    state: object
     complete: bool
     stats: SearchStats
 
 
 def reachable_set(sys: Prvass | MinskyMachine, start, b: Bounds) -> ReachableSet:
-    """Enumerate every configuration reachable within bounds, in the search's dequeue order.
+    """Enumerate every configuration reachable within bounds, as keys in the search's dequeue order.
 
-    complete is True only when the closure finished without any pruning
-    event, i.e. the returned tuple really is the whole reachable set.
+    A caller reads a key's state through state and decodes only the keys it
+    keeps.  complete is True only when the closure finished without any
+    pruning event, i.e. the keys really are the whole reachable set.
     """
     family = _family(sys, start, b)
     verdict, parents = _bfs(family, b)
-    decode = family[3]
-    return ReachableSet(tuple(map(decode, parents)), verdict.outcome == EXHAUSTED_NO_COVER, verdict.stats)
+    return ReachableSet(parents.keys(), family[3], family[5], verdict.outcome == EXHAUSTED_NO_COVER, verdict.stats)
 
 
 def replay_trace(sys: Prvass | MinskyMachine, tr: Trace) -> bool:

@@ -19,6 +19,7 @@ from .models import (
     MinskyAction,
     MinskyMachine,
     Prvass,
+    _TOKEN,
     pop,
     push,
     DEC,
@@ -37,7 +38,6 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-_TOKEN = re.compile(r"[^\s:,()#]+$")
 _DIGITS = re.compile(r"[0-9]+")  # a trace counter, as render_trace writes it
 _DIGEST = re.compile(r"[0-9a-f]{64}")  # a trace header's digest, as system_digest gives it
 
@@ -50,7 +50,7 @@ def _significant_lines(text: str):
 
 
 def _check_token(token: str, lineno: int, line: str, what: str) -> str:
-    if not _TOKEN.match(token):
+    if not _TOKEN.fullmatch(token):
         column = line.find(token, line.index(":") + 1) + 1
         raise ParseError(lineno, column, f"bad {what} token {token!r}")
     return token
@@ -224,7 +224,7 @@ def parse_trace(text: str) -> tuple[str, Trace]:
         if len(cols) != 3:
             raise ParseError(lineno, 1, "expected 'state<TAB>stack<TAB>counter'")
         state, stack_word, counter = cols
-        if not _TOKEN.match(state):
+        if not _TOKEN.fullmatch(state):
             raise ParseError(lineno, 1, f"bad state token {state!r}")
         counter = counter.removesuffix("\r")  # a CRLF file's line end
         if not _DIGITS.fullmatch(counter):

@@ -10,6 +10,7 @@ drive a counter negative or pop the wrong symbol simply does not fire.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 PUSH = "push"
@@ -21,6 +22,9 @@ RESET_KIND = "reset"
 INSTRUCTION_KINDS = (PUSH, POP, INC_KIND, DEC_KIND, RESET_KIND)
 
 MINSKY_OPS = ("inc", "dec", "zero")
+
+# a state or stack symbol name, as the file formats read and write it
+_TOKEN = re.compile(r"[^\s:,()#]+")
 
 
 @dataclass(frozen=True)
@@ -210,8 +214,17 @@ class Diagnostic:
         return f"{self.where}: {self.message}"
 
 
+def _bad_names(where: str, what: str, names) -> list[Diagnostic]:
+    """A diagnostic for each name that the file formats could not write back."""
+    return [
+        Diagnostic(where, f"{what} {name!r} is not a name: one or more characters, none of them white space or :,()#")
+        for name in names
+        if not (isinstance(name, str) and _TOKEN.fullmatch(name))
+    ]
+
+
 def _validate_prvass(sys: Prvass) -> list[Diagnostic]:
-    diags = []
+    diags = _bad_names("states", "state", sys.states) + _bad_names("stack", "stack symbol", sys.stack_alphabet)
     states = set(sys.states)
     alphabet = set(sys.stack_alphabet)
     if len(states) != len(sys.states):
@@ -240,7 +253,7 @@ def _validate_prvass(sys: Prvass) -> list[Diagnostic]:
 
 
 def _validate_minsky(m: MinskyMachine) -> list[Diagnostic]:
-    diags = []
+    diags = _bad_names("states", "state", m.states)
     states = set(m.states)
     if len(states) != len(m.states):
         diags.append(Diagnostic("states", "duplicate state declaration"))

@@ -236,9 +236,9 @@ def gadget_contract_set(
     """All (record', n) observable at the gadget exit with counter 0.
 
     Exhaustively enumerates the configurations reachable from the entry
-    with stack bot record hash a^m and counter 0, and collects every exit
-    configuration, decomposing its stack back into a record word and an
-    a-count.  This is the executable left-hand side of the gadget contract;
+    with stack bot record hash a^m and counter 0, decodes the exit-state
+    keys alone, and splits each stack with counter 0 into a record word and
+    an a-count.  This is the executable left-hand side of the gadget contract;
     equality with the weak-membership predicate of the gadget's symbol is
     what makes a wiring correct.
     """
@@ -262,8 +262,8 @@ def gadget_contract_set(
         )
     out = set()
     records = {}  # one tuple per record word, shared by all of its exits
-    for cfg in reach.configs:
-        if cfg.state != g.exit or cfg.counter != 0:
+    for cfg in (reach.decode(key) for key in reach.keys if reach.state(key) == g.exit):
+        if cfg.counter != 0:
             continue
         stack = cfg.stack
         if not stack or stack[0] != BOTTOM:

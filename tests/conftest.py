@@ -86,6 +86,11 @@ def load_machine(name: str):
     return parse_minsky(corpus_path(name).read_text())
 
 
+def closure_configs(reach) -> tuple:
+    """The configurations of a reachable_set result: its keys decoded, in its dequeue order."""
+    return tuple(map(reach.decode, reach.keys))
+
+
 @pytest.fixture(scope="session")
 def corpus_machines():
     return {name: load_machine(name) for name in CORPUS_EXPECTED}

@@ -43,7 +43,14 @@ from prvass.relations import (
 )
 from prvass.models import MinskyAction, MinskyConfig, MinskyMachine, minsky_successors
 
-from conftest import CORPUS_DIR, CORPUS_EXPECTED, corpus_path, expected_exit_set, load_machine
+from conftest import (
+    CORPUS_DIR,
+    CORPUS_EXPECTED,
+    closure_configs,
+    corpus_path,
+    expected_exit_set,
+    load_machine,
+)
 
 CORPUS_BOUNDS = Bounds(max_steps=1_000_000, max_stack=64, max_counter=10_000, max_visited=1_000_000)
 
@@ -226,7 +233,7 @@ def test_criterion_8_boundary_invariant(corpus_runs):
     for machine, compiled, _, _ in runs.values():
         monitor = BoundaryMonitor(compiled, machine.states)
         start = Configuration(compiled.start, (), 0)
-        for cfg in reachable_set(compiled.system, start, CORPUS_BOUNDS).configs:
+        for cfg in closure_configs(reachable_set(compiled.system, start, CORPUS_BOUNDS)):
             monitor(cfg)
         total_checked += monitor.checked
         total_violations += len(monitor.violations)

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from prvass import cli, reduction
 from prvass.cli import main
 from prvass.explorer import Bounds, differential_check, replay_trace
 from prvass.formats import parse_model_file, parse_trace, system_digest
-from prvass.relations import TwoApproximationsReport
+from prvass.reduction import FORWARD, build_gadget, gadget_contract_set
+from prvass.relations import TwoApproximationsReport, parse_delta_token
 
 from conftest import corpus_path, load_machine
 
@@ -213,6 +215,39 @@ def test_simulate_prvass_budget_hit(workdir, capsys):
     system = _compile(workdir, "inc-dec")
     assert main(["simulate", str(system), "--max-visited", "4"]) == 2
     assert "COMPLETE=no" in capsys.readouterr().out
+
+
+def _count_decodes(monkeypatch, module):
+    """Wrap module.reachable_set so that its results count their decode calls; returns the count and the results."""
+    decodes, closures = [0], []
+    search = module.reachable_set
+
+    def counted(*args):
+        reach = search(*args)
+        closures.append(reach)
+
+        def decode(key):
+            decodes[0] += 1
+            return reach.decode(key)
+
+        return dataclasses.replace(reach, decode=decode)
+
+    monkeypatch.setattr(module, "reachable_set", counted)
+    return decodes, closures
+
+
+def test_no_configuration_is_decoded_only_to_be_counted_or_dropped(workdir, monkeypatch, capsys):
+    # simulate counts keys and their states; the contract decodes the exit keys alone
+    decodes, closures = _count_decodes(monkeypatch, cli)
+    assert main(["simulate", str(_compile(workdir, "big-counter"))]) == 2
+    assert "REACHABLE=49972" in capsys.readouterr().out
+    assert len(closures) == 1 and decodes == [0]
+    decodes, closures = _count_decodes(monkeypatch, reduction)
+    g = build_gadget(parse_delta_token("m2"), FORWARD, ("g1", "g2", "g3"))
+    assert gadget_contract_set(g, 3, (), 60) == {(("m2",), n) for n in range(7)}
+    (closure,) = closures
+    exits = sum(closure.state(key) == g.exit for key in closure.keys)
+    assert 0 < exits < len(closure.keys) and decodes == [exits]
 
 
 def test_parse_error_exits_three(workdir, capsys):

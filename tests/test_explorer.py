@@ -35,7 +35,7 @@ from prvass.models import (
 )
 from prvass.reduction import compile_machine
 
-from conftest import CORPUS_EXPECTED, SWEEP_BOUNDS, load_machine, small_machines
+from conftest import CORPUS_EXPECTED, SWEEP_BOUNDS, closure_configs, load_machine, small_machines
 
 GENEROUS = Bounds(1_000_000, 64, 10_000, 1_000_000)
 
@@ -112,7 +112,7 @@ def test_minsky_target_is_the_exact_zero_config():
     verdict = minsky_bounded_reach(m, GENEROUS)
     assert verdict.outcome == EXHAUSTED_NO_COVER
     reach = reachable_set(m, MinskyConfig("s", (0, 0)), GENEROUS)
-    assert MinskyConfig("t", (1, 0)) in reach.configs
+    assert MinskyConfig("t", (1, 0)) in closure_configs(reach)
 
 
 def test_replay_rejects_perturbed_counter():
@@ -210,7 +210,7 @@ def test_depth_bound_keeps_an_earlier_drop():
     b = Bounds(1, 64, 1, 1000)
     assert bounded_cover(sys, start, "t", b).outcome == BOUNDS_HIT
     closure = reachable_set(sys, start, b)
-    assert closure.configs == (start, Configuration("u", (), 1))
+    assert closure_configs(closure) == (start, Configuration("u", (), 1))
     assert not closure.complete
 
 
@@ -266,7 +266,7 @@ def test_pumping_loop_that_cannot_reach_the_target_is_not_a_bound():
         reachable_set(PUMP_AWAY_MACHINE, MinskyConfig("s", (0, 0)), SMALL),
     ):
         assert not closure.complete
-        assert any(cfg.state == "p" for cfg in closure.configs)
+        assert any(cfg.state == "p" for cfg in closure_configs(closure))
 
 
 def test_start_that_cannot_reach_the_target_visits_only_the_start():
@@ -291,7 +291,7 @@ def test_start_over_a_cap_is_visited_but_never_expanded():
         assert verdict.outcome == BOUNDS_HIT
         assert verdict.stats.visited == 1
         closure = reachable_set(sys, start, b)
-        assert closure.configs == (start,)
+        assert closure_configs(closure) == (start,)
         assert not closure.complete
         assert closure.stats.visited == 1
         # a start already in the target state covers before any expansion
@@ -301,7 +301,7 @@ def test_start_over_a_cap_is_visited_but_never_expanded():
     machine = MinskyMachine(("s", "t"), (MinskyAction("s", 0, "inc", "t"),), "s", "t")
     start = MinskyConfig("s", (101, 0))
     closure = reachable_set(machine, start, Bounds(1000, 64, 100, 1000))
-    assert closure.configs == (start,)
+    assert closure_configs(closure) == (start,)
     assert not closure.complete
 
 
@@ -357,8 +357,9 @@ def test_visited_set_matches_naive_fixpoint():
         reach = reachable_set(compiled.system, start, GENEROUS)
         assert reach.complete
         fixpoint = _naive_fixpoint(compiled.system, start)
-        assert set(reach.configs) == fixpoint
-        assert len(reach.configs) == len(fixpoint)
+        configs = closure_configs(reach)
+        assert set(configs) == fixpoint
+        assert len(configs) == len(fixpoint)
 
 
 def test_flat_effects_match_the_reference_semantics():
@@ -373,10 +374,11 @@ def test_flat_effects_match_the_reference_semantics():
         for stack in itertools.product("ab", repeat=height):
             for counter in range(4):
                 start = Configuration("s", stack, counter)
-                start_key, expand, label, decode, _ = _family(sys, start, GENEROUS)
+                start_key, expand, label, decode, _, state = _family(sys, start, GENEROUS)
                 keys = expand(start_key)
                 reference = successors(sys, start)
                 assert [decode(key) for key in keys] == [cfg for _, cfg in reference], start
+                assert [state(key) for key in keys] == [cfg.state for _, cfg in reference], start
                 first: dict = {}
                 for action, cfg in reference:
                     first.setdefault(cfg, action)
@@ -417,7 +419,7 @@ def test_closure_order_matches_reference_bfs(name, b, complete):
     start = Configuration(compiled.start, (), 0)
     reach = reachable_set(compiled.system, start, b)
     assert reach.complete is complete
-    assert list(reach.configs) == _reference_closure(compiled.system, start, b)
+    assert list(closure_configs(reach)) == _reference_closure(compiled.system, start, b)
 
 
 def _searched_sides(m, b):
@@ -461,7 +463,9 @@ def test_reachable_set_decodes_the_visited_dict_in_order():
         for model, start, b, _ in _searched_sides(load_machine(name), GENEROUS):
             _, parents, family = _check_visited_dict(model, start, b)
             decode = family[3]
-            assert reachable_set(model, start, b).configs == tuple(map(decode, parents)), name
+            reach = reachable_set(model, start, b)
+            assert list(reach.keys) == list(parents), name
+            assert closure_configs(reach) == tuple(map(decode, parents)), name
 
 
 def _deep_cover_args():
@@ -496,7 +500,7 @@ def test_big_counter_memory_fence():
 def test_no_reachable_configuration_has_negative_counter():
     compiled = compile_machine(load_machine("inc-dec"))
     reach = reachable_set(compiled.system, Configuration(compiled.start, (), 0), GENEROUS)
-    assert all(cfg.counter >= 0 for cfg in reach.configs)
+    assert all(cfg.counter >= 0 for cfg in closure_configs(reach))
 
 
 def test_differential_examples():

@@ -21,10 +21,13 @@ from prvass.models import (
     validate,
 )
 from prvass.explorer import _effect
-from prvass.reduction import FORWARD, STACK_ALPHABET, build_gadget
+from prvass.formats import ParseError, parse_minsky, parse_model_file, serialize_minsky, serialize_prvass
+from prvass.reduction import FORWARD, STACK_ALPHABET, build_gadget, compile_machine
 from prvass.relations import parse_delta_token
 
 import pytest
+
+from conftest import CORPUS_EXPECTED, load_machine
 
 
 def test_push_appends():
@@ -187,6 +190,31 @@ def _one_action(*body, source="q"):
 )
 def test_validate_reports_each_fault_where_it_is(model, expected):
     assert validate(model) == expected
+
+
+def _not_a_name(where, what, name):
+    return Diagnostic(where, f"{what} {name!r} is not a name: one or more characters, none of them white space or :,()#")
+
+
+@pytest.mark.parametrize("name", ["s x", "", "a:b", "a,b", "(a)", "a#", "a\n", "\t", 1])
+def test_validate_rejects_a_name_the_formats_cannot_write_back(name):
+    machine = MinskyMachine((name, "t"), (MinskyAction(name, 0, "inc", "t"),), name, "t")
+    assert validate(machine) == [_not_a_name("states", "state", name)]
+    sys = Prvass((name, "t"), ("a", name), (Action(name, (push(name),), "t"),), name)
+    assert validate(sys) == [_not_a_name("states", "state", name), _not_a_name("stack", "stack symbol", name)]
+
+
+def test_names_that_validate_are_written_back():
+    # the name that validate used to pass breaks the formats' round trip
+    machine = MinskyMachine(("s x", "t"), (MinskyAction("s x", 0, "inc", "t"),), "s x", "t")
+    with pytest.raises(ParseError, match="^line 3, column 1: expected exactly one initial state$"):
+        parse_minsky(serialize_minsky(machine))
+    # every corpus machine and its compiled system validate, and read back as written
+    for name in (*CORPUS_EXPECTED, "big-counter"):
+        machine = load_machine(name)
+        compiled = compile_machine(machine).system
+        assert validate(machine) == [] and validate(compiled) == [], name
+        assert parse_model_file(serialize_prvass(compiled)) == compiled, name
 
 
 def test_validate_rejects_what_is_not_a_model():
