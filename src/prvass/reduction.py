@@ -244,6 +244,8 @@ def gadget_contract_set(
     """
     if m < 0:
         raise ValueError(f"entry count must be non-negative, got {m}")
+    if bound < 1:
+        raise ValueError(f"bound must be at least 1, got {bound}")
     sys = Prvass(
         (g.entry,) + g.internal_states + (g.exit,), STACK_ALPHABET, g.actions
     )

@@ -340,26 +340,37 @@ class MonotonePairsReport:
 
 
 def check_monotone_pairs_lemma(rs, domain_bound: int) -> MonotonePairsReport:
-    """Exhaustively check the ordering lemma over the bounded rectangle."""
+    """Exhaustively check the ordering lemma over the bounded rectangle.
+
+    Only the least forward m of each n matters: min_fwd[n] is the least m
+    with n <= fwd[m].  Forward sections are downward closed, so walking m
+    upward with a high-water mark fills each min_fwd[n] once, from the
+    first m whose ceiling reaches n; the n past every ceiling have no
+    forward pair.  With back[n] = min(bwd[n], domain_bound), the largest
+    backward m of n, row n fails iff some n' < n has back[n'] >= min_fwd[n]
+    or back[n] > min_fwd[n].  A running maximum of back over the rows
+    already walked decides the first part, so each row costs two compares,
+    and only a failing row is rescanned pair by pair.  Rows are walked in
+    increasing n and the rescan takes n' upward, so the violation reported
+    is the first one of a full scan in that order.
+    """
     rs = _checked_sequence(rs, domain_bound)
     fwd = _forward_ceilings(rs, domain_bound)
     bwd = _backward_ceilings(rs, domain_bound)
-    # min_fwd[n] = least m <= domain_bound with (m, n) in the forward composition
-    min_fwd: list[int | None] = [None] * (domain_bound + 1)
-    for m in range(domain_bound + 1):
-        for n in range(min(fwd[m], domain_bound) + 1):
-            if min_fwd[n] is None:
-                min_fwd[n] = m
-    for n in range(domain_bound + 1):
-        if min_fwd[n] is None:
-            continue
-        for n_back in range(n + 1):
-            m_back = min(bwd[n_back], domain_bound)
-            if m_back < 0:
-                continue
-            m_fwd = min_fwd[n]
-            if m_back > m_fwd or (n_back < n and m_back >= m_fwd):
-                return MonotonePairsReport(rs, domain_bound, False, ((m_fwd, n), (m_back, n_back)))
+    min_fwd: list[int] = []
+    for m, ceiling in enumerate(fwd):
+        top = min(ceiling, domain_bound)
+        if top >= len(min_fwd):
+            min_fwd += [m] * (top + 1 - len(min_fwd))
+    back = [min(b, domain_bound) for b in bwd]
+    below = -1  # max(back[:n])
+    for n, m_fwd in enumerate(min_fwd):
+        if below >= m_fwd or back[n] > m_fwd:
+            for n_back in range(n + 1):
+                m_back = back[n_back]
+                if m_back > m_fwd or (n_back < n and m_back >= m_fwd):
+                    return MonotonePairsReport(rs, domain_bound, False, ((m_fwd, n), (m_back, n_back)))
+        below = max(below, back[n])
     return MonotonePairsReport(rs, domain_bound, True, None)
 
 

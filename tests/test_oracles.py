@@ -217,3 +217,89 @@ def test_identity_checker_matches_the_cell_scan_on_wrong_tables(monkeypatch):
         assert _two_approximations_fields(seq, domain) == want
         failed += not want[2]
     assert failed > 50
+
+
+# the quadratic scan check_monotone_pairs_lemma replaced, in the order the
+# report promises; like the cell scan above it reads the ceiling tables
+# through the module
+
+
+def _monotone_pairs_by_cell(rs, domain_bound):
+    rs = _checked_sequence(rs, domain_bound)
+    fwd = relations._forward_ceilings(rs, domain_bound)
+    bwd = relations._backward_ceilings(rs, domain_bound)
+    min_fwd = [None] * (domain_bound + 1)
+    for m in range(domain_bound + 1):
+        for n in range(min(fwd[m], domain_bound) + 1):
+            if min_fwd[n] is None:
+                min_fwd[n] = m
+    for n in range(domain_bound + 1):
+        if min_fwd[n] is None:
+            continue
+        for n_back in range(n + 1):
+            m_back = min(bwd[n_back], domain_bound)
+            if m_back < 0:
+                continue
+            m_fwd = min_fwd[n]
+            if m_back > m_fwd or (n_back < n and m_back >= m_fwd):
+                return (rs, domain_bound, False, ((m_fwd, n), (m_back, n_back)))
+    return (rs, domain_bound, True, None)
+
+
+def _monotone_pairs_fields(rs, domain_bound):
+    r = check_monotone_pairs_lemma(rs, domain_bound)
+    return (r.sequence, r.domain_bound, r.holds, r.violation)
+
+
+def test_lemma_checker_matches_the_cell_scan():
+    specs = [rel_spec(sym) for sym in ALPHABET]
+    for domain in (0, 1, 7, 40, 200):
+        for seq in (seq for k in (1, 2, 3) for seq in itertools.product(specs, repeat=k)):
+            assert _monotone_pairs_fields(seq, domain) == _monotone_pairs_by_cell(seq, domain)
+    failed = 0
+    for seq in _random_finite_sequences(1200, seed=20191):
+        for domain in (0, 1, 5, 13):
+            want = _monotone_pairs_by_cell(seq, domain)
+            assert _monotone_pairs_fields(seq, domain) == want
+            failed += not want[2]
+    # the violation pair is compared, not only holds
+    assert failed > 100
+
+
+def test_lemma_checker_matches_the_cell_scan_on_wrong_tables(monkeypatch):
+    # row n fails when an earlier n' has back[n'] >= min_fwd[n] or when
+    # back[n] > min_fwd[n]; wrong tables make each part decide rows alone,
+    # at equality too, which right tables on the six primitives never do
+    rng = random.Random(4243)
+    specs = [rel_spec(sym) for sym in ALPHABET]
+    domain = 7
+    decided_by = {"earlier": 0, "earlier at equality": 0, "own": 0}
+    for seq in (seq for k in (1, 2, 3) for seq in itertools.product(specs, repeat=k)):
+        for _ in range(3):
+            fwd = _forward_ceilings(seq, domain)
+            bwd = _backward_ceilings(seq, domain)
+            for table in (fwd, bwd):
+                for _ in range(rng.randint(0, 2)):
+                    table[rng.randrange(domain + 1)] = rng.randrange(-1, 2 * domain)
+            monkeypatch.setattr(relations, "_forward_ceilings", lambda rs, d: list(fwd))
+            monkeypatch.setattr(relations, "_backward_ceilings", lambda rs, d: list(bwd))
+            want = _monotone_pairs_by_cell(seq, domain)
+            assert _monotone_pairs_fields(seq, domain) == want
+            if want[2]:
+                continue
+            (m_fwd, n), _ = want[3]
+            back = [min(b, domain) for b in bwd]
+            earlier = max(back[:n], default=-1)
+            own = back[n] > m_fwd
+            if earlier >= m_fwd and not own:
+                decided_by["earlier"] += 1
+                decided_by["earlier at equality"] += earlier == m_fwd
+            if own and earlier < m_fwd:
+                decided_by["own"] += 1
+    assert min(decided_by.values()) > 20, decided_by
+
+
+@pytest.mark.parametrize("tokens", [("t2",), ("m2", "d2"), ("d3", "t2"), ("m3", "d3", "t3")])
+def test_lemma_checker_is_linear_at_a_large_domain(tokens):
+    # a return of the quadratic scan would take minutes here
+    assert check_monotone_pairs_lemma([rel_spec(t) for t in tokens], 20000).holds

@@ -168,6 +168,14 @@ def test_contract_rejects_a_negative_entry_count():
     assert str(exc.value) == "entry count must be non-negative, got -1"
 
 
+@pytest.mark.parametrize("bound", [0, -3])
+def test_contract_rejects_a_bound_below_one(bound):
+    # Bounds would reject it too, but naming a field the caller never passed
+    with pytest.raises(ValueError) as exc:
+        gadget_contract_set(_gadget("m2", FORWARD), 0, (), bound)
+    assert str(exc.value) == f"bound must be at least 1, got {bound}"
+
+
 def _one_action_gadget(body):
     # a hand-built gadget whose single action goes straight from entry to exit
     return Gadget("e1", "e3", ("e2",), (Action("e1", body, "e3"),), parse_delta_token("m2"), FORWARD)
