@@ -27,7 +27,7 @@ from .explorer import (
 from .models import Configuration, MinskyConfig, Prvass, validate
 from .formats import parse_model_file, render_trace, serialize_prvass
 from .reduction import compile_machine
-from .relations import check_two_approximations, parse_delta_token, rel_spec
+from .relations import check_two_approximations, rel_spec
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -217,10 +217,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_prop1(args) -> int:
-    try:
-        sequence = [rel_spec(parse_delta_token(tok)) for tok in args.symbols]
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    sequence = [rel_spec(tok) for tok in args.symbols]
     report = check_two_approximations(sequence, args.domain)
     tokens = " ".join(r.symbol.token for r in sequence)
     payload = {

@@ -226,10 +226,15 @@ def parse_trace(text: str) -> tuple[str, Trace]:
         state, stack_word, counter = cols
         if not _TOKEN.fullmatch(state):
             raise ParseError(lineno, 1, f"bad state token {state!r}")
+        stack = []
+        for symbol in re.finditer(r"\S+", stack_word):
+            if not _TOKEN.fullmatch(symbol[0]):
+                raise ParseError(lineno, len(state) + 2 + symbol.start(), f"bad stack symbol token {symbol[0]!r}")
+            stack.append(symbol[0])
         counter = counter.removesuffix("\r")  # a CRLF file's line end
         if not _DIGITS.fullmatch(counter):
             raise ParseError(lineno, len(state) + len(stack_word) + 3, f"counter is not a natural number: {counter!r}")
-        configs.append(Configuration(state, tuple(stack_word.split()), int(counter)))
+        configs.append(Configuration(state, tuple(stack), int(counter)))
     if not configs:
         raise ParseError(2, 1, "trace has no configurations")
     return digest, Trace(configs[0], tuple((None, c) for c in configs[1:]))

@@ -21,41 +21,34 @@ MULT = "mult"
 DIV = "div"
 TEST = "test"
 
-_KIND_LETTER = {MULT: "m", DIV: "d", TEST: "t"}
-_LETTER_KIND = {v: k for k, v in _KIND_LETTER.items()}
 
-
-@dataclass(frozen=True)
-class DeltaSymbol:
+class DeltaSymbol(Enum):
     """One of the six operation symbols: kind in {mult, div, test}, factor in {2, 3}."""
 
-    kind: str
-    factor: int
+    M2 = (MULT, 2)
+    M3 = (MULT, 3)
+    D2 = (DIV, 2)
+    D3 = (DIV, 3)
+    T2 = (TEST, 2)
+    T3 = (TEST, 3)
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_LETTER:
-            raise ValueError(f"unknown relation kind: {self.kind!r}")
-        if self.factor not in (2, 3):
-            raise ValueError(f"factor must be 2 or 3, got {self.factor!r}")
+    def __init__(self, kind: str, factor: int) -> None:
+        self.kind = kind
+        self.factor = factor
+        self.token = self.name.lower()
 
-    @property
-    def token(self) -> str:
-        return _KIND_LETTER[self.kind] + str(self.factor)
 
-    def __str__(self) -> str:
-        return self.token
+ALPHABET = tuple(DeltaSymbol)
+
+_TOKEN_SYMBOL = {sym.token: sym for sym in ALPHABET}
 
 
 def parse_delta_token(token: str) -> DeltaSymbol:
-    """Parse a two-character token like m2, d3, t2 into a DeltaSymbol."""
-    if len(token) == 2 and token[0] in _LETTER_KIND and token[1] in "23":
-        return DeltaSymbol(_LETTER_KIND[token[0]], int(token[1]))
-    raise ValueError(f"not an operation token: {token!r} (expected one of m2 m3 d2 d3 t2 t3)")
-
-
-ALPHABET = tuple(
-    DeltaSymbol(kind, factor) for kind in (MULT, DIV, TEST) for factor in (2, 3)
-)
+    """The ALPHABET member a token like m2, d3, t2 names."""
+    try:
+        return _TOKEN_SYMBOL[token]
+    except KeyError:
+        raise ValueError(f"not an operation token: {token!r} (expected one of m2 m3 d2 d3 t2 t3)") from None
 
 
 class WeakMode(Enum):
@@ -274,14 +267,11 @@ def _checked_sequence(rs, domain_bound: int) -> tuple:
 class TwoApproximationsReport:
     """Result of checking exact = forward-weak and backward-weak over a rectangle."""
 
-    sequence: tuple
-    domain_bound: int
-    holds: bool
     counterexample: tuple[int, int] | None
 
-    def __post_init__(self) -> None:
-        if self.holds != (self.counterexample is None):
-            raise ValueError("holds must mirror the absence of a counterexample")
+    @property
+    def holds(self) -> bool:
+        return self.counterexample is None
 
 
 def check_two_approximations(rs, domain_bound: int) -> TwoApproximationsReport:
@@ -320,8 +310,8 @@ def check_two_approximations(rs, domain_bound: int) -> TwoApproximationsReport:
             in_exact = v == n
             in_both = n <= fwd[m] and m <= bwd[n]
             if in_exact != in_both:
-                return TwoApproximationsReport(rs, domain_bound, False, (m, n))
-    return TwoApproximationsReport(rs, domain_bound, True, None)
+                return TwoApproximationsReport((m, n))
+    return TwoApproximationsReport(None)
 
 
 @dataclass(frozen=True)
@@ -333,10 +323,11 @@ class MonotonePairsReport:
     force m' < m.  A violation carries the two witnessing pairs.
     """
 
-    sequence: tuple
-    domain_bound: int
-    holds: bool
     violation: tuple[tuple[int, int], tuple[int, int]] | None
+
+    @property
+    def holds(self) -> bool:
+        return self.violation is None
 
 
 def check_monotone_pairs_lemma(rs, domain_bound: int) -> MonotonePairsReport:
@@ -369,9 +360,9 @@ def check_monotone_pairs_lemma(rs, domain_bound: int) -> MonotonePairsReport:
             for n_back in range(n + 1):
                 m_back = back[n_back]
                 if m_back > m_fwd or (n_back < n and m_back >= m_fwd):
-                    return MonotonePairsReport(rs, domain_bound, False, ((m_fwd, n), (m_back, n_back)))
+                    return MonotonePairsReport(((m_fwd, n), (m_back, n_back)))
         below = max(below, back[n])
-    return MonotonePairsReport(rs, domain_bound, True, None)
+    return MonotonePairsReport(None)
 
 
 def godel_encode(n0: int, n1: int) -> int:

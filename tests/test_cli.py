@@ -152,7 +152,7 @@ def test_prop1_json(capsys):
 
 def _counterexample(sequence, domain):
     # a counterexample would disprove the identity, so one is staged
-    return TwoApproximationsReport(tuple(sequence), domain, False, (3, 4))
+    return TwoApproximationsReport((3, 4))
 
 
 def test_prop1_counterexample_exits_one(capsys, monkeypatch):

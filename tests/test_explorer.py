@@ -512,6 +512,17 @@ def test_differential_examples():
     assert agree_negative.prvass_verdict.outcome == EXHAUSTED_NO_COVER
 
 
+def test_differential_disagrees_when_the_compiled_side_differs(monkeypatch):
+    # a disagreement would be a fault of the construction, so one is staged:
+    # inc-dec's machine side (covered) against inc-only's compiled system
+    inc_only = compile_machine(load_machine("inc-only"))
+    monkeypatch.setattr("prvass.reduction.compile_machine", lambda m: inc_only)
+    report = differential_check(load_machine("inc-dec"), GENEROUS, GENEROUS)
+    assert report.status == "disagree"
+    assert report.minsky_verdict.outcome == COVERED
+    assert report.prvass_verdict.outcome == EXHAUSTED_NO_COVER
+
+
 def test_differential_large_counters_is_inconclusive():
     # the unary encoding of counter value 20 is 2^20 symbols, far beyond the
     # stack cap: expected and documented, not a failure

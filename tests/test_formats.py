@@ -326,3 +326,14 @@ def test_trace_state_is_a_name_token(state):
     with pytest.raises(ParseError) as exc:
         parse_trace(f"{HEADER}\ns\ta\t0\n{state}\ta\t1\n")
     assert str(exc.value) == f"line 3, column 1: bad state token {state!r}"
+
+
+@pytest.mark.parametrize(
+    "stack, symbol, column",
+    [("a:b (x)", "a:b", 3), ("a (x)", "(x)", 5), ("#", "#", 3), ("bot a,b", "a,b", 7)],
+    ids=["colon", "parens", "hash", "comma"],
+)
+def test_trace_stack_symbols_are_name_tokens(stack, symbol, column):
+    with pytest.raises(ParseError) as exc:
+        parse_trace(f"{HEADER}\ns\t{stack}\t0\n")
+    assert str(exc.value) == f"line 2, column {column}: bad stack symbol token {symbol!r}"

@@ -10,7 +10,6 @@ from prvass.cli import main
 from prvass.relations import (
     ALPHABET,
     CompositionBoundError,
-    TwoApproximationsReport,
     WeakMode,
     _backward_ceilings,
     _checked_sequence,
@@ -42,11 +41,6 @@ def test_monotonicity_hypothesis_is_necessary():
     report = check_two_approximations([broken], 10)
     assert not report.holds
     assert report.counterexample == (0, 0)
-
-
-def test_report_invariant_enforced():
-    with pytest.raises(ValueError):
-        TwoApproximationsReport((), 5, True, (1, 2))
 
 
 def test_sequence_preconditions():
@@ -154,13 +148,13 @@ def _two_approximations_by_cell(rs, domain_bound):
     for m in range(domain_bound + 1):
         for n in range(domain_bound + 1):
             if (exact[m] == n) != (n <= fwd[m] and m <= bwd[n]):
-                return (rs, domain_bound, False, (m, n))
-    return (rs, domain_bound, True, None)
+                return (False, (m, n))
+    return (True, None)
 
 
 def _two_approximations_fields(rs, domain_bound):
     r = check_two_approximations(rs, domain_bound)
-    return (r.sequence, r.domain_bound, r.holds, r.counterexample)
+    return (r.holds, r.counterexample)
 
 
 def _random_finite_sequences(count, seed):
@@ -187,7 +181,7 @@ def test_identity_checker_matches_the_cell_scan():
         for domain in (0, 1, 5, 13):
             want = _two_approximations_by_cell(seq, domain)
             assert _two_approximations_fields(seq, domain) == want
-            failed += not want[2]
+            failed += not want[0]
     # the first counterexample is compared, not only holds
     assert failed > 100
 
@@ -215,7 +209,7 @@ def test_identity_checker_matches_the_cell_scan_on_wrong_tables(monkeypatch):
         monkeypatch.setattr(relations, "_backward_ceilings", lambda rs, d: list(bwd))
         want = _two_approximations_by_cell(seq, domain)
         assert _two_approximations_fields(seq, domain) == want
-        failed += not want[2]
+        failed += not want[0]
     assert failed > 50
 
 
@@ -242,13 +236,13 @@ def _monotone_pairs_by_cell(rs, domain_bound):
                 continue
             m_fwd = min_fwd[n]
             if m_back > m_fwd or (n_back < n and m_back >= m_fwd):
-                return (rs, domain_bound, False, ((m_fwd, n), (m_back, n_back)))
-    return (rs, domain_bound, True, None)
+                return (False, ((m_fwd, n), (m_back, n_back)))
+    return (True, None)
 
 
 def _monotone_pairs_fields(rs, domain_bound):
     r = check_monotone_pairs_lemma(rs, domain_bound)
-    return (r.sequence, r.domain_bound, r.holds, r.violation)
+    return (r.holds, r.violation)
 
 
 def test_lemma_checker_matches_the_cell_scan():
@@ -261,7 +255,7 @@ def test_lemma_checker_matches_the_cell_scan():
         for domain in (0, 1, 5, 13):
             want = _monotone_pairs_by_cell(seq, domain)
             assert _monotone_pairs_fields(seq, domain) == want
-            failed += not want[2]
+            failed += not want[0]
     # the violation pair is compared, not only holds
     assert failed > 100
 
@@ -285,9 +279,9 @@ def test_lemma_checker_matches_the_cell_scan_on_wrong_tables(monkeypatch):
             monkeypatch.setattr(relations, "_backward_ceilings", lambda rs, d: list(bwd))
             want = _monotone_pairs_by_cell(seq, domain)
             assert _monotone_pairs_fields(seq, domain) == want
-            if want[2]:
+            if want[0]:
                 continue
-            (m_fwd, n), _ = want[3]
+            (m_fwd, n), _ = want[1]
             back = [min(b, domain) for b in bwd]
             earlier = max(back[:n], default=-1)
             own = back[n] > m_fwd

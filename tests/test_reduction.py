@@ -116,7 +116,7 @@ def _reference_gadget(sym, direction, names):
 
 
 @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
-@pytest.mark.parametrize("sym", ALPHABET, ids=str)
+@pytest.mark.parametrize("sym", ALPHABET, ids=lambda sym: sym.token)
 def test_gadget_matches_the_reference_wiring(sym, direction):
     names = ("x/q1", "x/q2", "x/q3")
     got = build_gadget(sym, direction, names)
@@ -202,6 +202,13 @@ def test_contract_decomposes_at_the_last_marker():
     got = gadget_contract_set(_one_action_gadget(()), 3, ("m2", "hash", "d3"), 20)
     assert got == {(("m2", "hash", "d3"), 3)}
     assert gadget_contract_set(_one_action_gadget((pop("a"),)), 1, (), 20) == {((), 0)}
+
+
+def test_contract_drops_exits_whose_counter_is_not_zero():
+    # every real gadget resets before its exit, so only a hand-built one shows this
+    assert gadget_contract_set(_one_action_gadget((INC,)), 2, (), 20) == set()
+    assert gadget_contract_set(_one_action_gadget((pop("a"), INC)), 2, (), 20) == set()
+    assert gadget_contract_set(_one_action_gadget(()), 2, (), 20) == {((), 2)}
 
 
 def _inc_dec_machine():
