@@ -12,17 +12,19 @@ exhausted_no_cover still means that every configuration that could reach
 the target was enumerated.  Searches are breadth-first with a visited set
 keyed on the full configuration, which makes witnesses minimal in action
 count and results deterministic.  A stack-and-counter configuration is keyed
-by a (state, stack node, counter) triple whose stack is hash-consed, and is
-decoded back into a Configuration only where a caller sees it.  The search
-core handles keys alone: it records each visited key's parent key, and the
-actions of a witness are recovered only once the witness is found.
+by a (state, stack node, counter) triple whose stack is hash-consed, and a
+two-counter configuration by a plain (state, counter 0, counter 1) triple;
+either is decoded back into a Configuration or a MinskyConfig only where a
+caller sees it.  The search core handles keys alone: it records each
+visited key's parent key, and the actions of a witness are recovered only
+once the witness is found.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from operator import attrgetter, itemgetter
+from dataclasses import dataclass
+from operator import itemgetter
 
 from .models import (
     DEC_KIND,
@@ -31,6 +33,7 @@ from .models import (
     PUSH,
     RESET_KIND,
     Configuration,
+    MINSKY_OPS,
     MinskyConfig,
     MinskyMachine,
     Prvass,
@@ -128,6 +131,15 @@ def _effect(body):
     return tuple(pops), tuple(pushes), need, reset, delta
 
 
+def _by_source(actions, live: set) -> dict:
+    """The actions into a state in live, grouped by source state in declaration order."""
+    by_source: dict = {}
+    for action in actions:
+        if action.target in live:
+            by_source.setdefault(action.source, []).append(action)
+    return by_source
+
+
 def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set, target: str | None):
     """The flat search of a stack-and-counter system.
 
@@ -145,10 +157,7 @@ def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set, targ
     successor.  label(key, succ) fires the key's compiled effects one at a
     time, in declaration order, until one gives succ.
     """
-    by_source: dict = {}
-    for action in sys.actions:
-        if action.target in live:
-            by_source.setdefault(action.source, []).append(action)
+    by_source = _by_source(sys.actions, live)
     effects: dict = {}
     parent = [0]
     top = [None]
@@ -218,6 +227,64 @@ def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set, targ
     return (start.state, node, start.counter), expand, label, decode, lambda key: key[0] == target
 
 
+def _minsky_family(m: MinskyMachine, start: MinskyConfig, b: Bounds, live: set, target: str | None):
+    """The flat search of a two-counter machine.
+
+    A search key is the triple (state, counter 0, counter 1), a target when
+    it is (target, 0, 0).  Actions are grouped by source state in one pass,
+    and a state's moves are compiled the first time the state is expanded,
+    which is also when an unknown counter op raises.  Actions into a state
+    outside live are never grouped.  A key is within the counter cap
+    whenever it is expanded, so expand checks only the counter that moved
+    and gives None for a successor past the cap.  label(key, succ) fires
+    the key's moves one at a time, in declaration order, until one gives
+    succ.
+    """
+    by_source = _by_source(m.actions, live)
+    moves: dict = {}
+
+    def compile_state(state):
+        compiled = []
+        for action in by_source.get(state, ()):
+            if action.op not in MINSKY_OPS:
+                raise ValueError(f"unknown counter op: {action.op!r}")
+            compiled.append((action, action.target, action.counter_index, action.op))
+        moves[state] = compiled
+        return compiled
+
+    cap = b.max_counter
+
+    def expand(key, compiled=None):
+        state, c0, c1 = key
+        if compiled is None:
+            compiled = moves[state] if state in moves else compile_state(state)
+        out = []
+        for _, target, index, op in compiled:
+            value = c1 if index else c0
+            if op == "inc":
+                value += 1
+            elif op == "dec":
+                if not value:
+                    continue
+                value -= 1
+            elif value:
+                continue
+            if value > cap:
+                out.append(None)
+            else:
+                out.append((target, c0, value) if index else (target, value, c1))
+        return out
+
+    def label(key, succ):
+        return next(move[0] for move in moves[key[0]] if expand(key, (move,)) == [succ])
+
+    def decode(key):
+        return MinskyConfig(key[0], key[1:])
+
+    goal = (target, 0, 0)
+    return (start.state, *start.counters), expand, label, decode, lambda key: key == goal
+
+
 def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None = None):
     """The model family's (start key, expand, label, decode, is_target, state); the one place the search dispatches on it.
 
@@ -225,10 +292,10 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None 
     None for each successor that a stack or counter cap drops; label(key,
     succ) is the first action, in declaration order, that takes key to succ;
     decode(key) is the configuration a key stands for; is_target(key) is
-    whether it is in the target state, or for a two-counter machine equals
+    whether it is in the target state, or for a two-counter machine is
     (target, 0, 0), and is never true without a target; state(key) is its
-    control state, read without decoding it.  Two-counter
-    configurations are their own keys.  A start that itself violates a cap
+    control state, read without decoding it.  Keys of both families are flat
+    tuples whose first item is the state.  A start that itself violates a cap
     cannot be expanded honestly, so it expands to one dropped successor.
     When a target is named, expand leaves out every action into a state with
     no control path to the target state: a configuration there can never
@@ -248,23 +315,11 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None 
             if symbol not in alphabet:
                 raise ValueError(f"start stack symbol {symbol!r} not in the stack alphabet")
         start_key, expand, label, decode, is_target = _prvass_family(model, start, b, live, target)
-        state = itemgetter(0)
         over_cap = len(start.stack) > b.max_stack or start.counter > b.max_counter
     else:
-        relevant = replace(model, actions=tuple(a for a in model.actions if a.target in live))
-        cap = b.max_counter
-
-        def expand(cfg):
-            return [c if c.counters[0] <= cap and c.counters[1] <= cap else None
-                    for _, c in minsky_successors(relevant, cfg)]
-
-        def label(cfg, succ):
-            return next(action for action, c in minsky_successors(relevant, cfg) if c == succ)
-
-        goal = MinskyConfig(target, (0, 0))
-        start_key, decode, is_target, state = start, _identity, lambda cfg: cfg == goal, attrgetter("state")
-        over_cap = max(start.counters) > cap
-    return start_key, (lambda key: [None]) if over_cap else expand, label, decode, is_target, state
+        start_key, expand, label, decode, is_target = _minsky_family(model, start, b, live, target)
+        over_cap = max(start.counters) > b.max_counter
+    return start_key, (lambda key: [None]) if over_cap else expand, label, decode, is_target, itemgetter(0)
 
 
 def _coreachable(actions, target: str) -> set:
@@ -280,10 +335,6 @@ def _coreachable(actions, target: str) -> set:
                 live.add(source)
                 todo.append(source)
     return live
-
-
-def _identity(cfg):
-    return cfg
 
 
 def _bfs(family, b: Bounds) -> tuple[Verdict, dict]:

@@ -24,6 +24,10 @@ for a backward one.  Start, replay and cover (s', b, t', primed) and other
 gadgets never start with it, so only machine states that do can collide:
 each gadget is built once per (symbol, direction, prefix, those states) and
 shared by all compiles, named as priming against the whole system names it.
+The backward half, the six backward gadgets with their glue, depends only on
+the replay state's name and the machine states that start with back-, so it
+is built once per such pair and every compile splices in the same tuples;
+only the forward glue, which names machine states, is built per machine.
 """
 
 from __future__ import annotations
@@ -179,6 +183,31 @@ def _block(sym: DeltaSymbol, direction: str, prefix: str, taken: tuple[str, ...]
     return build_gadget(sym, direction, tuple(_fresh(f"{prefix}/{role}", used) for role in ("q1", "q2", "q3")))
 
 
+def _splice(states: list, actions: list, gadget: Gadget, into: str, back_to: str) -> None:
+    """Append gadget's states, and its actions between empty-bodied glue from into and back to back_to."""
+    states.extend((gadget.entry, *gadget.internal_states, gadget.exit))
+    actions.append(Action(into, (), gadget.entry))
+    actions.extend(gadget.actions)
+    actions.append(Action(gadget.exit, (), back_to))
+
+
+@lru_cache(maxsize=256)
+def _backward_half(replay: str, taken: tuple[str, ...]) -> tuple[tuple, tuple, tuple]:
+    """The backward gadgets looping through replay, glue included: (states, actions, bookkeeping items).
+
+    taken is the machine states that start with back-, the only ones a
+    backward gadget's names can collide with.
+    """
+    states: list = []
+    actions: list = []
+    bookkeeping = []
+    for sym, prefix in _BACK_PREFIXES:
+        gadget = _block(sym, BACKWARD, prefix, tuple(s for s in taken if s.startswith(prefix)))
+        _splice(states, actions, gadget, replay, replay)
+        bookkeeping.append((gadget, sym))
+    return tuple(states), tuple(actions), tuple(bookkeeping)
+
+
 def compile_machine(m: MinskyMachine) -> CompiledSystem:
     """Compile a two-counter machine into a stack system with a cover target.
 
@@ -190,7 +219,8 @@ def compile_machine(m: MinskyMachine) -> CompiledSystem:
     empty-bodied glue actions; an equals-one check guards entry to the
     replay state; one backward gadget per operation symbol loops through the
     replay state; a final action fires only on the exact stack bot hash a
-    and empties it.
+    and empties it.  The backward gadgets and their glue come from the
+    shared backward half of the replay state's name.
     """
     diags = validate(m)
     if diags:
@@ -203,22 +233,19 @@ def compile_machine(m: MinskyMachine) -> CompiledSystem:
     states = [start, *m.states]
     actions = [Action(start, _INIT, m.source)]
     bookkeeping: dict[Gadget, MinskyAction | DeltaSymbol] = {}
-
-    def splice(sym, direction, prefix, origin, into, back_to):
-        gadget = _block(sym, direction, prefix, tuple(s for s in slashed if s.startswith(prefix)))
-        states.extend((gadget.entry, *gadget.internal_states, gadget.exit))
-        actions.append(Action(into, (), gadget.entry))
-        actions.extend(gadget.actions)
-        actions.append(Action(gadget.exit, (), back_to))
-        bookkeeping[gadget] = origin
-
     for i, origin in enumerate(m.actions):
         sym = minsky_action_to_symbol(origin)
-        splice(sym, FORWARD, f"a{i}/{sym.token}", origin, origin.source, origin.target)
+        prefix = f"a{i}/{sym.token}"
+        gadget = _block(sym, FORWARD, prefix, tuple(s for s in slashed if s.startswith(prefix)))
+        _splice(states, actions, gadget, origin.source, origin.target)
+        bookkeeping[gadget] = origin
     states.append(replay)
     actions.append(Action(m.target, _EQUALS_ONE, replay))
-    for sym, prefix in _BACK_PREFIXES:
-        splice(sym, BACKWARD, prefix, sym, replay, replay)
+    back_taken = tuple(s for s in slashed if s.startswith("back-"))
+    back_states, back_actions, back_gadgets = _backward_half(replay, back_taken)
+    states.extend(back_states)
+    actions.extend(back_actions)
+    bookkeeping.update(back_gadgets)
     states.append(cover)
     actions.append(Action(replay, _FINAL, cover))
 

@@ -29,6 +29,7 @@ from prvass.models import (
     MinskyConfig,
     MinskyMachine,
     Prvass,
+    minsky_successors,
     pop,
     push,
     successors,
@@ -384,6 +385,58 @@ def test_flat_effects_match_the_reference_semantics():
                     first.setdefault(cfg, action)
                 for key in dict.fromkeys(keys):
                     assert label(start_key, key) == first[decode(key)], (start, decode(key))
+
+
+def test_flat_two_counter_keys_match_the_reference_semantics():
+    # every one-action and two-action machine over {s, t}, fired from every
+    # counter pair 0-3 under a counter cap of 2: the flat expander's decoded
+    # successors are models.minsky_successors, in the same order and
+    # multiplicity, with None exactly where the reference passes the cap,
+    # and label names the first declared action that yields each of them
+    capped = Bounds(GENEROUS.max_steps, GENEROUS.max_stack, 2, GENEROUS.max_visited)
+    actions = [MinskyAction(*a) for a in itertools.product("st", (0, 1), ("inc", "dec", "zero"), "st")]
+    bodies = [(a,) for a in actions] + list(itertools.product(actions, repeat=2))
+    for body in bodies:
+        m = MinskyMachine(("s", "t"), body, "s", "t")
+        for counters in itertools.product(range(4), repeat=2):
+            start = MinskyConfig("s", counters)
+            start_key, expand, label, decode, _, state = _family(m, start, capped)
+            assert decode(start_key) == start and state(start_key) == "s"
+            keys = expand(start_key)
+            if max(counters) > 2:
+                assert keys == [None], (body, start)
+                continue
+            reference = minsky_successors(m, start)
+            assert [key and decode(key) for key in keys] == [
+                None if max(cfg.counters) > 2 else cfg for _, cfg in reference
+            ], (body, start)
+            assert [state(key) for key in keys if key] == [
+                cfg.state for _, cfg in reference if max(cfg.counters) <= 2
+            ], (body, start)
+            first: dict = {}
+            for action, cfg in reference:
+                first.setdefault(cfg, action)
+            for key in dict.fromkeys(keys):
+                if key is not None:
+                    assert label(start_key, key) is first[decode(key)], (body, start, decode(key))
+
+
+def test_unknown_counter_op_raises_when_its_state_is_expanded():
+    bogus = MinskyAction("p", 1, "bogus", "t")
+    m = MinskyMachine(("s", "p", "t", "u"), (MinskyAction("s", 0, "inc", "p"), bogus), "s", "t")
+    with pytest.raises(ValueError) as reference:
+        minsky_successors(m, MinskyConfig("p", (1, 0)))
+    start_key, expand, *_ = _family(m, MinskyConfig("s", (0, 0)), GENEROUS)
+    (p_key,) = expand(start_key)
+    for _ in range(2):
+        with pytest.raises(ValueError) as flat:
+            expand(p_key)
+        assert str(flat.value) == str(reference.value) == "unknown counter op: 'bogus'"
+    with pytest.raises(ValueError, match="unknown counter op: 'bogus'"):
+        minsky_bounded_reach(m, GENEROUS)
+    # from a state that never reaches p, the bogus action is never read
+    unreached = MinskyMachine(m.states, m.actions + (MinskyAction("u", 0, "inc", "t"),), "u", "t")
+    assert minsky_bounded_reach(unreached, GENEROUS).outcome == EXHAUSTED_NO_COVER
 
 
 def _reference_closure(sys, start, b):

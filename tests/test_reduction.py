@@ -25,6 +25,7 @@ from prvass.reduction import (
     GadgetBoundError,
     InvalidModelError,
     STACK_ALPHABET,
+    _backward_half,
     _block,
     build_gadget,
     compile_machine,
@@ -301,9 +302,20 @@ def test_gadget_names_do_not_depend_on_compile_order():
         ]
 
     _block.cache_clear()
+    _backward_half.cache_clear()
     forward = compile_all(machines)
     _block.cache_clear()
+    _backward_half.cache_clear()
     assert compile_all(machines[::-1])[::-1] == forward
+
+    # machines 1 and 2 have the same replay name and back- states, so their
+    # compiles splice in the same backward half
+    _, back_actions, back_gadgets = _backward_half("b'", ("back-m2/m2/q1", "back-m2/m2/q1'"))
+    for m in machines[1:3]:
+        compiled = compile_machine(m)
+        spliced = compiled.system.actions[-1 - len(back_actions) : -1]
+        assert list(map(id, spliced)) == list(map(id, back_actions))
+        assert list(map(id, compiled.bookkeeping))[len(m.actions) :] == [id(g) for g, _ in back_gadgets]
 
     compiled = compile_machine(machines[1])
     states = compiled.system.states

@@ -62,6 +62,13 @@ def test_sweep_classes_and_witnesses(sweep):
     }
 
 
+def test_sweep_visited_totals(sweep):
+    # visited is the unit of work: a change to the keys or the prunes that
+    # makes either side search more or less shows here
+    assert sum(mv.stats.visited for _, _, mv, _, _ in sweep) == 25_742
+    assert sum(pv.stats.visited for _, _, _, pv, _ in sweep) == 367_151
+
+
 def test_relevance_prune_keeps_every_definitive_verdict_and_witness(sweep, monkeypatch):
     # with every action target live, no action is ever dropped as irrelevant
     monkeypatch.setattr(
