@@ -4,18 +4,21 @@ Coverability of a target state and reachability of a target counter pair
 are both undecidable in general, so every search here is bounded and the
 verdicts are honest about it: exhausted_no_cover is only reported when the
 frontier emptied and no successor was ever pruned by a bound, otherwise
-the outcome is bounds_hit.  A search with a target also drops, before it
-starts, every action into a state with no control path to the target
-state (cone-of-influence reduction).  That relevance prune removes only
-configurations that can never reach the target, so it is not a bound:
-exhausted_no_cover still means that every configuration that could reach
-the target was enumerated.  Searches are breadth-first with a visited set
-keyed on the full configuration, which makes witnesses minimal in action
-count and results deterministic.  A stack-and-counter configuration is keyed
-by a (state, stack node, counter) triple whose stack is hash-consed, and a
-two-counter configuration by a plain (state, counter 0, counter 1) triple;
-either is decoded back into a Configuration or a MinskyConfig only where a
-caller sees it.  The search core handles keys alone: it records each
+the outcome is bounds_hit.  A search with a target also trims the control
+graph before it starts (cone-of-influence reduction): it walks forward from
+the start state over the actions, then back from the target state over the
+actions it walked, and drops every action into a state off those paths.
+That relevance prune removes only configurations that can never reach the
+target, so it is not a bound: exhausted_no_cover still means that every
+configuration that could reach the target was enumerated.  When the start
+state has no control path to the target, the trim is empty and the search
+is the start configuration alone.  Searches are breadth-first with a
+visited set keyed on the full configuration, which makes witnesses minimal
+in action count and results deterministic.  A stack-and-counter
+configuration is keyed by a (state, stack node, counter) triple whose stack
+is hash-consed, and a two-counter configuration by a plain (state, counter
+0, counter 1) triple; either is decoded back into a Configuration or a
+MinskyConfig only where a caller sees it.  The search core handles keys alone: it records each
 visited key's parent key, and the actions of a witness are recovered only
 once the witness is found.
 """
@@ -131,16 +134,46 @@ def _effect(body):
     return tuple(pops), tuple(pushes), need, reset, delta
 
 
-def _by_source(actions, live: set) -> dict:
-    """The actions into a state in live, grouped by source state in declaration order."""
+def _by_source(actions) -> dict:
+    """The actions grouped by source state, in declaration order."""
     by_source: dict = {}
     for action in actions:
-        if action.target in live:
-            by_source.setdefault(action.source, []).append(action)
+        by_source.setdefault(action.source, []).append(action)
     return by_source
 
 
-def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set, target: str | None):
+def _trim(by_source: dict, start: str, target: str) -> set:
+    """The states on a control path from start to target.
+
+    One walk forward from start over the grouped actions records the
+    predecessors of each state it reaches along the actions it walks; one
+    walk back from target over those predecessors keeps the states that
+    lead to it.  A start with no path to target walks nothing back.
+    """
+    sources: dict = {start: []}
+    todo = [start]
+    while todo:
+        state = todo.pop()
+        for action in by_source.get(state, ()):
+            succ = action.target
+            if succ in sources:
+                sources[succ].append(state)
+            else:
+                sources[succ] = [state]
+                todo.append(succ)
+    if target not in sources:
+        return set()
+    live = {target}
+    todo = [target]
+    while todo:
+        for source in sources[todo.pop()]:
+            if source not in live:
+                live.add(source)
+                todo.append(source)
+    return live
+
+
+def _prvass_family(start: Configuration, b: Bounds, by_source: dict, live: set, target: str | None):
     """The flat search of a stack-and-counter system.
 
     A search key is the triple (state, stack node, counter), a target when
@@ -148,16 +181,16 @@ def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set, targ
     symbol) nodes with integer ids, node 0 being the empty stack, so equal
     stacks share one node: a push is one dict lookup, a pop one list read,
     and a key hashes in constant time.
-    Actions are grouped by source state in one pass; a state's bodies are
-    normalised by _effect the first time the state is expanded, so a search
-    that visits a few states pays for those alone.  Actions into a state
-    outside live are never grouped, so no key ever reaches such a state.
+    A state's actions, grouped by source in by_source, are normalised by
+    _effect the first time the state is expanded, so a search that visits a
+    few states pays for those alone, and an unknown instruction kind raises
+    on every expansion of its state.  An action into a state outside live
+    is skipped before it is normalised, so no key ever reaches such a state.
     expand computes each successor's stack height and counter anyway, so it
     applies the stack and counter caps itself and gives None for a dropped
     successor.  label(key, succ) fires the key's compiled effects one at a
     time, in declaration order, until one gives succ.
     """
-    by_source = _by_source(sys.actions, live)
     effects: dict = {}
     parent = [0]
     top = [None]
@@ -172,13 +205,13 @@ def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set, targ
         return child
 
     def compile_state(state):
-        compiled = effects[state] = []
+        compiled = []
         for action in by_source.get(state, ()):
-            effect = _effect(action.body)
-            if effect is not None:
+            if action.target in live and (effect := _effect(action.body)) is not None:
                 pops, pushes, need, reset, delta = effect
                 pushes = tuple((symbol, children.setdefault(symbol, {})) for symbol in pushes)
                 compiled.append((action, action.target, pops, pushes, need, reset, delta))
+        effects[state] = compiled
         return compiled
 
     node = 0
@@ -227,25 +260,26 @@ def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set, targ
     return (start.state, node, start.counter), expand, label, decode, lambda key: key[0] == target
 
 
-def _minsky_family(m: MinskyMachine, start: MinskyConfig, b: Bounds, live: set, target: str | None):
+def _minsky_family(start: MinskyConfig, b: Bounds, by_source: dict, live: set, target: str | None):
     """The flat search of a two-counter machine.
 
     A search key is the triple (state, counter 0, counter 1), a target when
-    it is (target, 0, 0).  Actions are grouped by source state in one pass,
-    and a state's moves are compiled the first time the state is expanded,
-    which is also when an unknown counter op raises.  Actions into a state
-    outside live are never grouped.  A key is within the counter cap
-    whenever it is expanded, so expand checks only the counter that moved
-    and gives None for a successor past the cap.  label(key, succ) fires
-    the key's moves one at a time, in declaration order, until one gives
-    succ.
+    it is (target, 0, 0).  A state's actions, grouped by source in
+    by_source, are compiled into moves the first time the state is
+    expanded, which is also when an unknown counter op raises.  An action
+    into a state outside live is skipped before its op is checked.  A key
+    is within the counter cap whenever it is expanded, so expand checks
+    only the counter that moved and gives None for a successor past the
+    cap.  label(key, succ) fires the key's moves one at a time, in
+    declaration order, until one gives succ.
     """
-    by_source = _by_source(m.actions, live)
     moves: dict = {}
 
     def compile_state(state):
         compiled = []
         for action in by_source.get(state, ()):
+            if action.target not in live:
+                continue
             if action.op not in MINSKY_OPS:
                 raise ValueError(f"unknown counter op: {action.op!r}")
             compiled.append((action, action.target, action.counter_index, action.op))
@@ -297,9 +331,13 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None 
     control state, read without decoding it.  Keys of both families are flat
     tuples whose first item is the state.  A start that itself violates a cap
     cannot be expanded honestly, so it expands to one dropped successor.
-    When a target is named, expand leaves out every action into a state with
-    no control path to the target state: a configuration there can never
-    reach the target, so dropping it is exact and is not a bound prune.
+    The model's actions are grouped by source state once.  When a target is
+    named, _trim keeps the states on a control path from the start state to
+    the target state, and expand leaves out every action into any other
+    state: a search only expands states that the start reaches, and from
+    one of those a configuration off the trim can never reach the target,
+    so dropping it is exact and is not a bound prune.  Without a target
+    every state is kept.
     This is also the one place that checks the search's inputs belong to the
     model: the start state and the target state, when one is named, must be
     declared, and every start stack symbol must be in the alphabet.
@@ -308,33 +346,19 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None 
     for what, state in (("target", target), ("start", start.state)):
         if state is not None and state not in states:
             raise ValueError(f"{what} state {state!r} not in the system")
-    live = states if target is None else _coreachable(model.actions, target)
+    by_source = _by_source(model.actions)
+    live = states if target is None else _trim(by_source, start.state, target)
     if isinstance(model, Prvass):
         alphabet = set(model.stack_alphabet)
         for symbol in start.stack:
             if symbol not in alphabet:
                 raise ValueError(f"start stack symbol {symbol!r} not in the stack alphabet")
-        start_key, expand, label, decode, is_target = _prvass_family(model, start, b, live, target)
+        start_key, expand, label, decode, is_target = _prvass_family(start, b, by_source, live, target)
         over_cap = len(start.stack) > b.max_stack or start.counter > b.max_counter
     else:
-        start_key, expand, label, decode, is_target = _minsky_family(model, start, b, live, target)
+        start_key, expand, label, decode, is_target = _minsky_family(start, b, by_source, live, target)
         over_cap = max(start.counters) > b.max_counter
     return start_key, (lambda key: [None]) if over_cap else expand, label, decode, is_target, itemgetter(0)
-
-
-def _coreachable(actions, target: str) -> set:
-    """The states with a control path to target, by one backward pass over the actions."""
-    sources: dict = {}
-    for action in actions:
-        sources.setdefault(action.target, []).append(action.source)
-    live = {target}
-    todo = [target]
-    while todo:
-        for source in sources.get(todo.pop(), ()):
-            if source not in live:
-                live.add(source)
-                todo.append(source)
-    return live
 
 
 def _bfs(family, b: Bounds) -> tuple[Verdict, dict]:

@@ -223,6 +223,11 @@ def _bad_names(where: str, what: str, names) -> list[Diagnostic]:
     ]
 
 
+def _where(i: int, action) -> str:
+    """Where a diagnostic on the i-th action points; formatted only for a faulty action."""
+    return f"action[{i}] {action.source} -> {action.target}"
+
+
 def _validate_prvass(sys: Prvass) -> list[Diagnostic]:
     diags = _bad_names("states", "state", sys.states) + _bad_names("stack", "stack symbol", sys.stack_alphabet)
     states = set(sys.states)
@@ -232,21 +237,20 @@ def _validate_prvass(sys: Prvass) -> list[Diagnostic]:
     if len(alphabet) != len(sys.stack_alphabet):
         diags.append(Diagnostic("stack", "duplicate stack symbol declaration"))
     for i, action in enumerate(sys.actions):
-        where = f"action[{i}] {action.source} -> {action.target}"
         if action.source not in states:
-            diags.append(Diagnostic(where, f"unknown source state {action.source!r}"))
+            diags.append(Diagnostic(_where(i, action), f"unknown source state {action.source!r}"))
         if action.target not in states:
-            diags.append(Diagnostic(where, f"unknown target state {action.target!r}"))
+            diags.append(Diagnostic(_where(i, action), f"unknown target state {action.target!r}"))
         for j, instr in enumerate(action.body):
             if instr.kind not in INSTRUCTION_KINDS:
-                diags.append(Diagnostic(where, f"instruction {j}: unknown kind {instr.kind!r}"))
+                diags.append(Diagnostic(_where(i, action), f"instruction {j}: unknown kind {instr.kind!r}"))
             elif instr.kind in (PUSH, POP):
                 if instr.symbol not in alphabet:
                     diags.append(
-                        Diagnostic(where, f"instruction {j}: symbol {instr.symbol!r} not in stack alphabet")
+                        Diagnostic(_where(i, action), f"instruction {j}: symbol {instr.symbol!r} not in stack alphabet")
                     )
             elif instr.symbol is not None:
-                diags.append(Diagnostic(where, f"instruction {j}: stray symbol on {instr.kind}"))
+                diags.append(Diagnostic(_where(i, action), f"instruction {j}: stray symbol on {instr.kind}"))
     if sys.init is not None and sys.init not in states:
         diags.append(Diagnostic("init", f"unknown initial state {sys.init!r}"))
     return diags
@@ -262,15 +266,14 @@ def _validate_minsky(m: MinskyMachine) -> list[Diagnostic]:
     if m.target not in states:
         diags.append(Diagnostic("final", f"unknown final state {m.target!r}"))
     for i, action in enumerate(m.actions):
-        where = f"action[{i}] {action.source} -> {action.target}"
         if action.source not in states:
-            diags.append(Diagnostic(where, f"unknown source state {action.source!r}"))
+            diags.append(Diagnostic(_where(i, action), f"unknown source state {action.source!r}"))
         if action.target not in states:
-            diags.append(Diagnostic(where, f"unknown target state {action.target!r}"))
+            diags.append(Diagnostic(_where(i, action), f"unknown target state {action.target!r}"))
         if action.counter_index not in (0, 1):
-            diags.append(Diagnostic(where, f"counter index {action.counter_index!r} not 0 or 1"))
+            diags.append(Diagnostic(_where(i, action), f"counter index {action.counter_index!r} not 0 or 1"))
         if action.op not in MINSKY_OPS:
-            diags.append(Diagnostic(where, f"unknown counter op {action.op!r}"))
+            diags.append(Diagnostic(_where(i, action), f"unknown counter op {action.op!r}"))
     return diags
 
 

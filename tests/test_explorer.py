@@ -25,6 +25,7 @@ from prvass.models import (
     DEC,
     INC,
     RESET,
+    Instruction,
     MinskyAction,
     MinskyConfig,
     MinskyMachine,
@@ -437,6 +438,20 @@ def test_unknown_counter_op_raises_when_its_state_is_expanded():
     # from a state that never reaches p, the bogus action is never read
     unreached = MinskyMachine(m.states, m.actions + (MinskyAction("u", 0, "inc", "t"),), "u", "t")
     assert minsky_bounded_reach(unreached, GENEROUS).outcome == EXHAUSTED_NO_COVER
+
+
+def test_unknown_instruction_kind_raises_when_its_state_is_expanded():
+    sys = Prvass(("s", "t"), (), (Action("s", (INC,), "t"), Action("s", (Instruction("bogus"),), "t")))
+    start = Configuration("s", (), 0)
+    with pytest.raises(ValueError) as reference:
+        successors(sys, start)
+    start_key, expand, *_ = _family(sys, start, GENEROUS)
+    for _ in range(2):
+        with pytest.raises(ValueError) as flat:
+            expand(start_key)
+        assert str(flat.value) == str(reference.value) == "unknown instruction kind: 'bogus'"
+    with pytest.raises(ValueError, match="unknown instruction kind: 'bogus'"):
+        bounded_cover(sys, start, "t", GENEROUS)
 
 
 def _reference_closure(sys, start, b):

@@ -6,8 +6,10 @@ benchmark's sweep.  No pair of sides may disagree, every witness must replay
 on its own side, and the class counts are a fence: a change to the search,
 the prunes or the compiler that moves a machine from one class to another
 shows here.  The cross-check reruns the sweep with the relevance prune
-switched off and compares every verdict and witness.  A digest pins the
-text of every compiled system, which the goldens pin for 13 machines only.
+switched off and compares every verdict and witness, and the live-set check
+holds the prune's trim to a reference built from the whole control graph.
+A digest pins the text of every compiled system, which the goldens pin for
+13 machines only.
 """
 
 import hashlib
@@ -17,11 +19,11 @@ import pytest
 
 from prvass import explorer
 from prvass.explorer import BOUNDS_HIT, differential_check, replay_trace
-from prvass.formats import serialize_prvass
+from prvass.formats import parse_minsky, serialize_prvass
 from prvass.reduction import compile_machine
 from prvass.relations import ALPHABET
 
-from conftest import SWEEP_BOUNDS, small_machines
+from conftest import CORPUS_DIR, SWEEP_BOUNDS, small_machines
 
 
 def _sweep():
@@ -72,13 +74,59 @@ def test_sweep_visited_totals(sweep):
 def test_relevance_prune_keeps_every_definitive_verdict_and_witness(sweep, monkeypatch):
     # with every action target live, no action is ever dropped as irrelevant
     monkeypatch.setattr(
-        explorer, "_coreachable", lambda actions, target: {target, *(a.target for a in actions)}
+        explorer,
+        "_trim",
+        lambda by_source, start, target: {target, *(a.target for group in by_source.values() for a in group)},
     )
-    for (machine, _, mv, pv, _), (_, _, mv_all, pv_all, _) in zip(sweep, _sweep()):
+    unpruned = list(_sweep())
+    for (machine, _, mv, pv, _), (_, _, mv_all, pv_all, _) in zip(sweep, unpruned):
         for with_prune, without in ((mv, mv_all), (pv, pv_all)):
             assert with_prune.trace == without.trace, machine
             if without.outcome != BOUNDS_HIT:
                 assert with_prune.outcome == without.outcome, machine
+    # the patch really switches the prune off: both sides search more than
+    # test_sweep_visited_totals pins
+    assert sum(mv.stats.visited for _, _, mv, _, _ in unpruned) > 25_742
+    assert sum(pv.stats.visited for _, _, _, pv, _ in unpruned) > 367_151
+
+
+def _closure(edges: dict, seed: str) -> set:
+    seen, todo = {seed}, [seed]
+    while todo:
+        for state in edges.get(todo.pop(), ()):
+            if state not in seen:
+                seen.add(state)
+                todo.append(state)
+    return seen
+
+
+def _live_sizes(actions, start, target) -> tuple[int, int]:
+    """The sizes of the trim and of the co-reachable set, once the trim is checked against its reference."""
+    forward, backward = {}, {}
+    for a in actions:
+        forward.setdefault(a.source, []).append(a.target)
+        backward.setdefault(a.target, []).append(a.source)
+    coreachable = _closure(backward, target)
+    trim = explorer._trim(explorer._by_source(actions), start, target)
+    assert trim == coreachable & _closure(forward, start)
+    return len(trim), len(coreachable)
+
+
+def test_trim_is_the_coreachable_part_of_the_forward_cone():
+    corpus = [parse_minsky(path.read_text()) for path in sorted(CORPUS_DIR.glob("*.minsky"))]
+    assert len(corpus) == 13
+    totals = {}
+    for label, machines in (("sweep", small_machines()), ("corpus", corpus)):
+        sizes = []
+        for m in machines:
+            compiled = compile_machine(m)
+            sizes.append(
+                _live_sizes(m.actions, m.source, m.target)
+                + _live_sizes(compiled.system.actions, compiled.start, compiled.cover_target)
+            )
+        # (trim, co-reachable) summed over the machine sides, then over the compiled sides
+        totals[label] = tuple(map(sum, zip(*sizes)))
+    assert totals == {"sweep": (726, 2175, 9483, 35784), "corpus": (83, 84, 554, 575)}
 
 
 # SHA-256 of the compiled text of all 1 485 machines, in enumeration order
