@@ -12,9 +12,13 @@ That relevance prune removes only configurations that can never reach the
 target, so it is not a bound: exhausted_no_cover still means that every
 configuration that could reach the target was enumerated.  When the start
 state has no control path to the target, the trim is empty and the search
-is the start configuration alone.  Searches are breadth-first with a
-visited set keyed on the full configuration, which makes witnesses minimal
-in action count and results deterministic.  A stack-and-counter
+is the start configuration alone.  The walks and the expansions read the
+model's by_source, its actions grouped by source state, which each model
+builds once and every search of it shares; a compiled system gets it from
+compile_machine, merged from the groupings of its cached pieces, so no
+search regroups the backward half that every compile shares.  Searches
+are breadth-first with a visited set keyed on the full configuration, which
+makes witnesses minimal in action count and results deterministic.  A stack-and-counter
 configuration is keyed by a (state, stack node, counter) triple whose stack
 is hash-consed, and a two-counter configuration by a plain (state, counter
 0, counter 1) triple; either is decoded back into a Configuration or a
@@ -132,14 +136,6 @@ def _effect(body):
         else:
             raise ValueError(f"unknown instruction kind: {kind!r}")
     return tuple(pops), tuple(pushes), need, reset, delta
-
-
-def _by_source(actions) -> dict:
-    """The actions grouped by source state, in declaration order."""
-    by_source: dict = {}
-    for action in actions:
-        by_source.setdefault(action.source, []).append(action)
-    return by_source
 
 
 def _trim(by_source: dict, start: str, target: str) -> set:
@@ -331,7 +327,8 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None 
     control state, read without decoding it.  Keys of both families are flat
     tuples whose first item is the state.  A start that itself violates a cap
     cannot be expanded honestly, so it expands to one dropped successor.
-    The model's actions are grouped by source state once.  When a target is
+    The actions grouped by source state are the model's by_source, built
+    once per model, so no search regroups them.  When a target is
     named, _trim keeps the states on a control path from the start state to
     the target state, and expand leaves out every action into any other
     state: a search only expands states that the start reaches, and from
@@ -346,7 +343,7 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None 
     for what, state in (("target", target), ("start", start.state)):
         if state is not None and state not in states:
             raise ValueError(f"{what} state {state!r} not in the system")
-    by_source = _by_source(model.actions)
+    by_source = model.by_source
     live = states if target is None else _trim(by_source, start.state, target)
     if isinstance(model, Prvass):
         alphabet = set(model.stack_alphabet)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 PUSH = "push"
 POP = "pop"
@@ -62,6 +63,16 @@ class Action:
     target: str
 
 
+def group_by_source(actions) -> dict:
+    """The actions grouped by source state, in declaration order, as tuples."""
+    groups: dict = {}
+    for action in actions:
+        groups.setdefault(action.source, []).append(action)
+    for source, group in groups.items():
+        groups[source] = tuple(group)
+    return groups
+
+
 @dataclass(frozen=True)
 class Prvass:
     """A stack-and-counter system: states, stack alphabet, actions, and an optional initial state.
@@ -74,6 +85,11 @@ class Prvass:
     stack_alphabet: tuple[str, ...]
     actions: tuple[Action, ...]
     init: str | None = None
+
+    @cached_property
+    def by_source(self) -> dict:
+        """The actions grouped by source state, in declaration order, as tuples; built once per system."""
+        return group_by_source(self.actions)
 
 
 @dataclass(frozen=True)
@@ -105,6 +121,11 @@ class MinskyMachine:
     actions: tuple[MinskyAction, ...]
     source: str
     target: str
+
+    @cached_property
+    def by_source(self) -> dict:
+        """The actions grouped by source state, in declaration order, as tuples; built once per machine."""
+        return group_by_source(self.actions)
 
 
 @dataclass(frozen=True)

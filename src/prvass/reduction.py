@@ -26,8 +26,13 @@ each gadget is built once per (symbol, direction, prefix, those states) and
 shared by all compiles, named as priming against the whole system names it.
 The backward half, the six backward gadgets with their glue, depends only on
 the replay state's name and the machine states that start with back-, so it
-is built once per such pair and every compile splices in the same tuples;
-only the forward glue, which names machine states, is built per machine.
+is built once per such pair.  A compile concatenates cached, immutable
+pieces: the initialization action per (start, source) name pair; one forward
+piece per (symbol, prefix, colliding states, source, target), the gadget
+with both glue actions; and the tail per (target, replay, cover, back-
+states), the equals-one check, the backward half and the final action.
+Each piece carries its actions grouped by source, so the compiled system's
+by_source index is merged from them rather than regrouped.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .models import (
     MinskyMachine,
     Prvass,
     RESET,
+    group_by_source,
     pop,
     push,
     validate,
@@ -196,7 +202,8 @@ def _backward_half(replay: str, taken: tuple[str, ...]) -> tuple[tuple, tuple, t
     """The backward gadgets looping through replay, glue included: (states, actions, bookkeeping items).
 
     taken is the machine states that start with back-, the only ones a
-    backward gadget's names can collide with.
+    backward gadget's names can collide with.  Every tail with this replay
+    name and taken splices in these very tuples.
     """
     states: list = []
     actions: list = []
@@ -206,6 +213,74 @@ def _backward_half(replay: str, taken: tuple[str, ...]) -> tuple[tuple, tuple, t
         _splice(states, actions, gadget, replay, replay)
         bookkeeping.append((gadget, sym))
     return tuple(states), tuple(actions), tuple(bookkeeping)
+
+
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change, so a cache can hand it out; dict.update copies it with its stored hashes."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a cached piece is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+
+@dataclass(frozen=True)
+class _Piece:
+    """A run of compiled states and actions, built once and spliced into every compile that names it.
+
+    The piece's actions grouped by source are join, the group that leaves a
+    machine state, whose actions other pieces can add to, and own, the
+    (state, actions) groups of states that only this piece's actions leave.
+    """
+
+    states: tuple[str, ...]
+    actions: tuple[Action, ...]
+    join: tuple[str, tuple[Action, ...]]
+    own: tuple[tuple[str, tuple[Action, ...]], ...]
+
+    @classmethod
+    def of(cls, states, actions) -> "_Piece":
+        """The piece of states and actions whose first action, and only it, leaves a machine state."""
+        join, *own = group_by_source(actions).items()
+        return cls(tuple(states), tuple(actions), join, tuple(own))
+
+    def splice(self, states: list, actions: list, by_source: dict) -> None:
+        """Append the piece's states and actions, and merge its groups into by_source."""
+        states += self.states
+        actions += self.actions
+        state, group = self.join
+        by_source[state] = by_source[state] + group if state in by_source else group
+        by_source.update(self.own)
+
+
+@lru_cache(maxsize=256)
+def _head(start: str, source: str) -> tuple[Action]:
+    """The initialization action, which establishes encoding 1 and enters the machine's source state."""
+    return (Action(start, _INIT, source),)
+
+
+@lru_cache(maxsize=4096)
+def _forward(sym: DeltaSymbol, prefix: str, taken: tuple[str, ...], source: str, target: str) -> tuple[Gadget, _Piece]:
+    """The forward gadget _block names, and the piece that glues it in from source and back to target."""
+    gadget = _block(sym, FORWARD, prefix, taken)
+    states: list = []
+    actions: list = []
+    _splice(states, actions, gadget, source, target)
+    return gadget, _Piece.of(states, actions)
+
+
+@lru_cache(maxsize=256)
+def _tail(target: str, replay: str, cover: str, taken: tuple[str, ...]) -> tuple[_ReadOnlyDict, _Piece]:
+    """Everything after the forward gadgets: (the backward gadgets' bookkeeping, the piece).
+
+    The piece is the equals-one check from target into replay, the
+    backward half of replay and taken, and the final action into cover.
+    """
+    states, actions, bookkeeping = _backward_half(replay, taken)
+    return _ReadOnlyDict(bookkeeping), _Piece.of(
+        (replay, *states, cover),
+        (Action(target, _EQUALS_ONE, replay), *actions, Action(replay, _FINAL, cover)),
+    )
 
 
 def compile_machine(m: MinskyMachine) -> CompiledSystem:
@@ -219,8 +294,14 @@ def compile_machine(m: MinskyMachine) -> CompiledSystem:
     empty-bodied glue actions; an equals-one check guards entry to the
     replay state; one backward gadget per operation symbol loops through the
     replay state; a final action fires only on the exact stack bot hash a
-    and empties it.  The backward gadgets and their glue come from the
-    shared backward half of the replay state's name.
+    and empties it.
+    A compile validates, picks the fresh start, replay and cover names, and
+    concatenates cached pieces: the head, one forward piece per machine
+    action and the tail, which holds the shared backward half.  Each piece
+    carries its actions grouped by source, so the system's by_source comes
+    from merging them, and no search of it regroups the shared half.  The
+    index and the bookkeeping, in splice order, are the only dicts built
+    per compile.
     """
     diags = validate(m)
     if diags:
@@ -230,26 +311,25 @@ def compile_machine(m: MinskyMachine) -> CompiledSystem:
     start, replay, cover = _fresh("s'", used), _fresh("b", used), _fresh("t'", used)
     slashed = [s for s in m.states if "/" in s]  # every prefix has a /; keeps compiles linear
 
+    head = _head(start, m.source)
     states = [start, *m.states]
-    actions = [Action(start, _INIT, m.source)]
+    actions = [*head]
+    by_source = {start: head}
     bookkeeping: dict[Gadget, MinskyAction | DeltaSymbol] = {}
     for i, origin in enumerate(m.actions):
         sym = minsky_action_to_symbol(origin)
         prefix = f"a{i}/{sym.token}"
-        gadget = _block(sym, FORWARD, prefix, tuple(s for s in slashed if s.startswith(prefix)))
-        _splice(states, actions, gadget, origin.source, origin.target)
+        taken = tuple(s for s in slashed if s.startswith(prefix)) if slashed else ()
+        gadget, piece = _forward(sym, prefix, taken, origin.source, origin.target)
         bookkeeping[gadget] = origin
-    states.append(replay)
-    actions.append(Action(m.target, _EQUALS_ONE, replay))
-    back_taken = tuple(s for s in slashed if s.startswith("back-"))
-    back_states, back_actions, back_gadgets = _backward_half(replay, back_taken)
-    states.extend(back_states)
-    actions.extend(back_actions)
+        piece.splice(states, actions, by_source)
+    back_taken = tuple(s for s in slashed if s.startswith("back-")) if slashed else ()
+    back_gadgets, tail = _tail(m.target, replay, cover, back_taken)
     bookkeeping.update(back_gadgets)
-    states.append(cover)
-    actions.append(Action(replay, _FINAL, cover))
+    tail.splice(states, actions, by_source)
 
     system = Prvass(tuple(states), STACK_ALPHABET, tuple(actions), start)
+    system.__dict__["by_source"] = by_source  # the value of the cached property, assembled from the pieces
     return CompiledSystem(system, start, cover, bookkeeping)
 
 

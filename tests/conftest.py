@@ -6,6 +6,7 @@ import pytest
 from prvass.explorer import Bounds
 from prvass.formats import parse_minsky
 from prvass.models import MinskyAction, MinskyMachine
+from prvass import reduction
 from prvass.reduction import FORWARD
 from prvass.relations import WeakMode, rel_spec, weak_member
 
@@ -94,3 +95,21 @@ def closure_configs(reach) -> tuple:
 @pytest.fixture(scope="session")
 def corpus_machines():
     return {name: load_machine(name) for name in CORPUS_EXPECTED}
+
+
+@pytest.fixture
+def clear_compile_caches():
+    """Clear every lru_cache of prvass.reduction now, and again at each call of the returned function.
+
+    The caches are found by their cache_clear, so a cache the compiler
+    gains is cleared without naming it here.
+    """
+    caches = [f for f in vars(reduction).values() if callable(getattr(f, "cache_clear", None))]
+    assert caches
+
+    def clear():
+        for cache in caches:
+            cache.cache_clear()
+
+    clear()
+    return clear

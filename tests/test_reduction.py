@@ -26,7 +26,6 @@ from prvass.reduction import (
     InvalidModelError,
     STACK_ALPHABET,
     _backward_half,
-    _block,
     build_gadget,
     compile_machine,
     gadget_contract_set,
@@ -282,7 +281,7 @@ def test_gadget_hash_agrees_with_equality():
     assert len(shared) == 2 and shared[mult] == "m2" and shared[div] == "d2"
 
 
-def test_gadget_names_do_not_depend_on_compile_order():
+def test_gadget_names_do_not_depend_on_compile_order(clear_compile_caches):
     # a0/m2/q1, a1/d2/q2 and the back-m2 pair collide with gadget names, the
     # a0/i0 and a1/d1 states only share a gadget's a<i>/ start, and b, t'
     # and s' collide with the replay, cover and start states
@@ -301,21 +300,30 @@ def test_gadget_names_do_not_depend_on_compile_order():
             for c in map(compile_machine, ms)
         ]
 
-    _block.cache_clear()
-    _backward_half.cache_clear()
     forward = compile_all(machines)
-    _block.cache_clear()
-    _backward_half.cache_clear()
+    clear_compile_caches()
     assert compile_all(machines[::-1])[::-1] == forward
 
-    # machines 1 and 2 have the same replay name and back- states, so their
-    # compiles splice in the same backward half
+    # two compiles of one machine splice in the very same pieces: every
+    # action, every gadget and every group of the source index
+    first, again = compile_machine(machines[1]), compile_machine(machines[1])
+    assert list(map(id, again.system.actions)) == list(map(id, first.system.actions))
+    assert list(map(id, again.bookkeeping)) == list(map(id, first.bookkeeping))
+    index, other = first.system.by_source, again.system.by_source
+    assert index is not other and all(other[state] is group for state, group in index.items())
+
+    # machines 1 and 2 differ only in their first action's target, so they
+    # share the second forward piece and the tail, backward half included
     _, back_actions, back_gadgets = _backward_half("b'", ("back-m2/m2/q1", "back-m2/m2/q1'"))
-    for m in machines[1:3]:
-        compiled = compile_machine(m)
+    second = compile_machine(machines[2])
+    shared = 1 + len(list(first.bookkeeping)[0].actions) + 2  # the head and the first forward piece
+    assert list(map(id, second.system.actions[shared:])) == list(map(id, first.system.actions[shared:]))
+    assert list(second.bookkeeping)[1] is list(first.bookkeeping)[1]
+    assert second.system.by_source["b'"] is first.system.by_source["b'"]
+    for compiled in (first, second):
         spliced = compiled.system.actions[-1 - len(back_actions) : -1]
         assert list(map(id, spliced)) == list(map(id, back_actions))
-        assert list(map(id, compiled.bookkeeping))[len(m.actions) :] == [id(g) for g, _ in back_gadgets]
+        assert list(map(id, compiled.bookkeeping))[2:] == [id(g) for g, _ in back_gadgets]
 
     compiled = compile_machine(machines[1])
     states = compiled.system.states

@@ -9,9 +9,12 @@ shows here.  The cross-check reruns the sweep with the relevance prune
 switched off and compares every verdict and witness, and the live-set check
 holds the prune's trim to a reference built from the whole control graph.
 A digest pins the text of every compiled system, which the goldens pin for
-13 machines only.
+13 machines only.  The source index that a compile assembles from cached
+pieces is held to the actions grouped from scratch, and a compile from
+cleared caches to one from warm caches.
 """
 
+import dataclasses
 import hashlib
 from collections import Counter
 
@@ -100,29 +103,34 @@ def _closure(edges: dict, seed: str) -> set:
     return seen
 
 
-def _live_sizes(actions, start, target) -> tuple[int, int]:
+def _live_sizes(model, start, target) -> tuple[int, int]:
     """The sizes of the trim and of the co-reachable set, once the trim is checked against its reference."""
     forward, backward = {}, {}
-    for a in actions:
+    for a in model.actions:
         forward.setdefault(a.source, []).append(a.target)
         backward.setdefault(a.target, []).append(a.source)
     coreachable = _closure(backward, target)
-    trim = explorer._trim(explorer._by_source(actions), start, target)
+    trim = explorer._trim(model.by_source, start, target)
     assert trim == coreachable & _closure(forward, start)
     return len(trim), len(coreachable)
 
 
-def test_trim_is_the_coreachable_part_of_the_forward_cone():
+def _corpus():
     corpus = [parse_minsky(path.read_text()) for path in sorted(CORPUS_DIR.glob("*.minsky"))]
     assert len(corpus) == 13
+    return corpus
+
+
+def test_trim_is_the_coreachable_part_of_the_forward_cone():
+    corpus = _corpus()
     totals = {}
     for label, machines in (("sweep", small_machines()), ("corpus", corpus)):
         sizes = []
         for m in machines:
             compiled = compile_machine(m)
             sizes.append(
-                _live_sizes(m.actions, m.source, m.target)
-                + _live_sizes(compiled.system.actions, compiled.start, compiled.cover_target)
+                _live_sizes(m, m.source, m.target)
+                + _live_sizes(compiled.system, compiled.start, compiled.cover_target)
             )
         # (trim, co-reachable) summed over the machine sides, then over the compiled sides
         totals[label] = tuple(map(sum, zip(*sizes)))
@@ -146,3 +154,35 @@ def test_every_compiled_system_is_pinned():
         assert entries == sorted(entries), m
         digest.update(serialize_prvass(compiled.system).encode("utf-8"))
     assert digest.hexdigest() == COMPILED_DIGEST
+
+
+def _regrouped(actions) -> list:
+    """(source, its actions) in order of first appearance, grouped from scratch."""
+    groups = {}
+    for a in actions:
+        groups.setdefault(a.source, []).append(a)
+    return [(source, tuple(group)) for source, group in groups.items()]
+
+
+def test_source_index_is_the_actions_grouped_from_scratch():
+    for m in [*small_machines(), *_corpus()]:
+        system = compile_machine(m).system
+        # the index compile_machine assembles from its pieces
+        assert list(system.by_source.items()) == _regrouped(system.actions), m
+        assert all(type(group) is tuple for group in system.by_source.values()), m
+        assert list(m.by_source.items()) == _regrouped(m.actions), m
+    # a copy with other actions builds its own index instead of inheriting one
+    copy = dataclasses.replace(system, actions=system.actions[1:])
+    assert list(copy.by_source.items()) == _regrouped(copy.actions)
+    assert system.by_source[system.init] and system.init not in copy.by_source
+
+
+def test_a_cold_compile_equals_a_warm_one(clear_compile_caches):
+    machines = small_machines()
+    warm = [compile_machine(m) for m in machines]  # each compile finds the pieces the ones before it built
+    for m, hot in zip(machines, warm):
+        clear_compile_caches()
+        cold = compile_machine(m)
+        assert serialize_prvass(cold.system) == serialize_prvass(hot.system), m
+        assert list(cold.bookkeeping.items()) == list(hot.bookkeeping.items()), m
+        assert list(cold.system.by_source.items()) == list(hot.system.by_source.items()), m
