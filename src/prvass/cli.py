@@ -196,7 +196,7 @@ def cmd_simulate(args) -> int:
     else:
         start = MinskyConfig(state, args.counters or (0, 0))
     reach = reachable_set(model, start, bounds)
-    states_seen = len(set(map(reach.state, reach.keys)))
+    states_seen = len({key[0] for key in reach.keys})
     payload = {
         "command": "simulate",
         "reachable": len(reach.keys),

@@ -16,22 +16,26 @@ is the start configuration alone.  The walks and the expansions read the
 model's by_source, its actions grouped by source state, which each model
 builds once and every search of it shares; a compiled system gets it from
 compile_machine, merged from the groupings of its cached pieces, so no
-search regroups the backward half that every compile shares.  Searches
+search regroups the backward gadgets that every compile shares.  Searches
 are breadth-first with a visited set keyed on the full configuration, which
 makes witnesses minimal in action count and results deterministic.  A stack-and-counter
 configuration is keyed by a (state, stack node, counter) triple whose stack
 is hash-consed, and a two-counter configuration by a plain (state, counter
 0, counter 1) triple; either is decoded back into a Configuration or a
-MinskyConfig only where a caller sees it.  The search core handles keys alone: it records each
-visited key's parent key, and the actions of a witness are recovered only
-once the witness is found.
+MinskyConfig only where a caller sees it, and either has its state as its
+first item, which is how a caller reads the state without decoding.  Each
+model family hands the search core one Family record, its start key and
+its hooks by name; the core handles keys alone: it records each visited
+key's parent key, and the actions of a witness are recovered only once the
+witness is found.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
-from operator import itemgetter
+from typing import NamedTuple
 
 from .models import (
     DEC_KIND,
@@ -184,8 +188,9 @@ def _prvass_family(start: Configuration, b: Bounds, by_source: dict, live: set, 
     is skipped before it is normalised, so no key ever reaches such a state.
     expand computes each successor's stack height and counter anyway, so it
     applies the stack and counter caps itself and gives None for a dropped
-    successor.  label(key, succ) fires the key's compiled effects one at a
-    time, in declaration order, until one gives succ.
+    successor.  expand(key, compiled) fires the given compiled effects
+    instead of the key state's own; each entry of effects starts with its
+    action, which is what _family's label relies on.
     """
     effects: dict = {}
     parent = [0]
@@ -237,9 +242,6 @@ def _prvass_family(start: Configuration, b: Bounds, by_source: dict, live: set, 
                 out.append((target, n, c) if height[n] <= max_stack and c <= max_counter else None)
         return out
 
-    def label(key, succ):
-        return next(effect[0] for effect in effects[key[0]] if expand(key, (effect,)) == [succ])
-
     words: dict = {0: ()}
 
     def decode(key):
@@ -253,7 +255,7 @@ def _prvass_family(start: Configuration, b: Bounds, by_source: dict, live: set, 
             word = words[n] = word + (top[n],)
         return Configuration(state, word, counter)
 
-    return (start.state, node, start.counter), expand, label, decode, lambda key: key[0] == target
+    return (start.state, node, start.counter), expand, effects, decode, lambda key: key[0] == target
 
 
 def _minsky_family(start: MinskyConfig, b: Bounds, by_source: dict, live: set, target: str | None):
@@ -266,8 +268,9 @@ def _minsky_family(start: MinskyConfig, b: Bounds, by_source: dict, live: set, t
     into a state outside live is skipped before its op is checked.  A key
     is within the counter cap whenever it is expanded, so expand checks
     only the counter that moved and gives None for a successor past the
-    cap.  label(key, succ) fires the key's moves one at a time, in
-    declaration order, until one gives succ.
+    cap.  expand(key, compiled) fires the given compiled moves instead of
+    the key state's own; each entry of moves starts with its action, which
+    is what _family's label relies on.
     """
     moves: dict = {}
 
@@ -305,28 +308,37 @@ def _minsky_family(start: MinskyConfig, b: Bounds, by_source: dict, live: set, t
                 out.append((target, c0, value) if index else (target, value, c1))
         return out
 
-    def label(key, succ):
-        return next(move[0] for move in moves[key[0]] if expand(key, (move,)) == [succ])
-
     def decode(key):
         return MinskyConfig(key[0], key[1:])
 
     goal = (target, 0, 0)
-    return (start.state, *start.counters), expand, label, decode, lambda key: key == goal
+    return (start.state, *start.counters), expand, moves, decode, lambda key: key == goal
 
 
-def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None = None):
-    """The model family's (start key, expand, label, decode, is_target, state); the one place the search dispatches on it.
+class Family(NamedTuple):
+    """The start key and the hooks of one search of one model, read by name."""
 
-    expand(key) lists the successor keys in action declaration order, with
-    None for each successor that a stack or counter cap drops; label(key,
-    succ) is the first action, in declaration order, that takes key to succ;
-    decode(key) is the configuration a key stands for; is_target(key) is
-    whether it is in the target state, or for a two-counter machine is
-    (target, 0, 0), and is never true without a target; state(key) is its
-    control state, read without decoding it.  Keys of both families are flat
-    tuples whose first item is the state.  A start that itself violates a cap
-    cannot be expanded honestly, so it expands to one dropped successor.
+    start: tuple
+    expand: Callable
+    label: Callable
+    decode: Callable
+    is_target: Callable
+
+
+def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None = None) -> Family:
+    """The model family's search hooks; the one place the search dispatches on it.
+
+    start is the start key; expand(key) lists the successor keys in action
+    declaration order, with None for each successor that a stack or counter
+    cap drops; label(key, succ) is the first action, in declaration order,
+    that takes key to succ, found by firing the entries of the key state's
+    effects or moves one at a time; decode(key) is the configuration a key
+    stands for; is_target(key) is whether it is in the target state, or for
+    a two-counter machine is (target, 0, 0), and is never true without a
+    target.  Keys of both families are flat tuples whose first item is the
+    state, so a caller reads a key's state as key[0] without decoding it.
+    A start that itself violates a cap cannot be expanded honestly, so it
+    expands to one dropped successor.
     The actions grouped by source state are the model's by_source, built
     once per model, so no search regroups them.  When a target is
     named, _trim keeps the states on a control path from the start state to
@@ -339,26 +351,28 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None 
     model: the start state and the target state, when one is named, must be
     declared, and every start stack symbol must be in the alphabet.
     """
-    states = set(model.states)
     for what, state in (("target", target), ("start", start.state)):
-        if state is not None and state not in states:
+        if state is not None and state not in model.states:
             raise ValueError(f"{what} state {state!r} not in the system")
     by_source = model.by_source
-    live = states if target is None else _trim(by_source, start.state, target)
+    live = set(model.states) if target is None else _trim(by_source, start.state, target)
     if isinstance(model, Prvass):
-        alphabet = set(model.stack_alphabet)
         for symbol in start.stack:
-            if symbol not in alphabet:
+            if symbol not in model.stack_alphabet:
                 raise ValueError(f"start stack symbol {symbol!r} not in the stack alphabet")
-        start_key, expand, label, decode, is_target = _prvass_family(start, b, by_source, live, target)
+        start_key, expand, table, decode, is_target = _prvass_family(start, b, by_source, live, target)
         over_cap = len(start.stack) > b.max_stack or start.counter > b.max_counter
     else:
-        start_key, expand, label, decode, is_target = _minsky_family(start, b, by_source, live, target)
+        start_key, expand, table, decode, is_target = _minsky_family(start, b, by_source, live, target)
         over_cap = max(start.counters) > b.max_counter
-    return start_key, (lambda key: [None]) if over_cap else expand, label, decode, is_target, itemgetter(0)
+
+    def label(key, succ):
+        return next(entry[0] for entry in table[key[0]] if expand(key, (entry,)) == [succ])
+
+    return Family(start_key, (lambda key: [None]) if over_cap else expand, label, decode, is_target)
 
 
-def _bfs(family, b: Bounds) -> tuple[Verdict, dict]:
+def _bfs(family: Family, b: Bounds) -> tuple[Verdict, dict]:
     """Layered breadth-first search over a _family's keys; returns the verdict and the visited dict.
 
     The visited dict maps each visited key to its parent key (None for the
@@ -368,7 +382,7 @@ def _bfs(family, b: Bounds) -> tuple[Verdict, dict]:
     max_steps leaves no room in the visited dict, so each of its new
     successors is dropped as one past the visited budget would be.
     """
-    start, expand, label, decode, is_target, _ = family
+    start, expand, is_target = family.start, family.expand, family.is_target
     t0 = time.perf_counter()
     parents: dict = {start: None}
     layer = [start]
@@ -380,11 +394,11 @@ def _bfs(family, b: Bounds) -> tuple[Verdict, dict]:
             if is_target(key):
                 steps = []
                 while (prev := parents[key]) is not None:
-                    steps.append((label(prev, key), decode(key)))
+                    steps.append((family.label(prev, key), family.decode(key)))
                     key = prev
                 steps.reverse()
                 stats = SearchStats(len(parents), frontier_peak, time.perf_counter() - t0)
-                return Verdict(COVERED, Trace(decode(start), tuple(steps)), stats), parents
+                return Verdict(COVERED, Trace(family.decode(start), tuple(steps)), stats), parents
         room = b.max_visited if depth < b.max_steps else 0
         next_layer = []
         for key in layer:
@@ -424,11 +438,10 @@ def minsky_bounded_reach(m: MinskyMachine, b: Bounds) -> Verdict:
 
 @dataclass(frozen=True)
 class ReachableSet:
-    """The keys a bounded closure visited, in dequeue order, with the family's decode and state."""
+    """The keys a bounded closure visited, in dequeue order, with the family's decode."""
 
     keys: object  # the search's visited dict's keys, not a copy
     decode: object
-    state: object
     complete: bool
     stats: SearchStats
 
@@ -436,13 +449,13 @@ class ReachableSet:
 def reachable_set(sys: Prvass | MinskyMachine, start, b: Bounds) -> ReachableSet:
     """Enumerate every configuration reachable within bounds, as keys in the search's dequeue order.
 
-    A caller reads a key's state through state and decodes only the keys it
+    A caller reads a key's state as key[0] and decodes only the keys it
     keeps.  complete is True only when the closure finished without any
     pruning event, i.e. the keys really are the whole reachable set.
     """
     family = _family(sys, start, b)
     verdict, parents = _bfs(family, b)
-    return ReachableSet(parents.keys(), family[3], family[5], verdict.outcome == EXHAUSTED_NO_COVER, verdict.stats)
+    return ReachableSet(parents.keys(), family.decode, verdict.outcome == EXHAUSTED_NO_COVER, verdict.stats)
 
 
 def replay_trace(sys: Prvass | MinskyMachine, tr: Trace) -> bool:

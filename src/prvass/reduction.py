@@ -21,24 +21,22 @@ once at import, and each gadget applies its own state names to a shape.
 A gadget's states are prefix/q1, /q2 and /q3, primed until fresh, with
 prefix a<i>/<token> for action i's forward gadget and back-<token>/<token>
 for a backward one.  Start, replay and cover (s', b, t', primed) and other
-gadgets never start with it, so only machine states that do can collide:
-each gadget is built once per (symbol, direction, prefix, those states) and
-shared by all compiles, named as priming against the whole system names it.
-The backward half, the six backward gadgets with their glue, depends only on
-the replay state's name and the machine states that start with back-, so it
-is built once per such pair.  A compile concatenates cached, immutable
-pieces: the initialization action per (start, source) name pair; one forward
-piece per (symbol, prefix, colliding states, source, target), the gadget
-with both glue actions; and the tail per (target, replay, cover, back-
-states), the equals-one check, the backward half and the final action.
-Each piece carries its actions grouped by source, so the compiled system's
-by_source index is merged from them rather than regrouped.
+gadgets never start with it, so only machine states that do can collide,
+and a gadget named from its prefix and those states is named as priming
+against the whole system would name it.  A compile concatenates three kinds
+of cached, immutable pieces, each shared by every compile that names it:
+the initialization action per (start, source) name pair; one forward piece
+per (symbol, prefix, colliding states, source, target), the gadget with both
+glue actions; and the tail per (target, replay, cover, back- states), the
+equals-one check, the six backward gadgets with their glue and the final
+action.  Each piece carries its actions grouped by source, so the compiled
+system's by_source index is merged from them rather than regrouped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .models import (
     Action,
@@ -91,6 +89,11 @@ class Gadget:
         # the names alone tell the gadgets of one compiled system apart, so
         # hashing them spares hashing every action body; __eq__ stays field-wise
         return hash((self.entry, self.exit, self.direction))
+
+    @cached_property
+    def system(self) -> Prvass:
+        """The gadget alone as a stack system, which gadget_contract_set searches; built once per gadget."""
+        return Prvass((self.entry, *self.internal_states, self.exit), STACK_ALPHABET, self.actions)
 
 
 def _shape(sym: DeltaSymbol, direction: str) -> tuple[tuple[int, tuple[Instruction, ...], int], ...]:
@@ -182,7 +185,6 @@ def _fresh(name: str, used: set) -> str:
     return name
 
 
-@lru_cache(maxsize=4096)
 def _block(sym: DeltaSymbol, direction: str, prefix: str, taken: tuple[str, ...]) -> Gadget:
     """The gadget named prefix/q1, /q2, /q3, primed past taken (the states that start with prefix)."""
     used = set(taken)
@@ -195,33 +197,6 @@ def _splice(states: list, actions: list, gadget: Gadget, into: str, back_to: str
     actions.append(Action(into, (), gadget.entry))
     actions.extend(gadget.actions)
     actions.append(Action(gadget.exit, (), back_to))
-
-
-@lru_cache(maxsize=256)
-def _backward_half(replay: str, taken: tuple[str, ...]) -> tuple[tuple, tuple, tuple]:
-    """The backward gadgets looping through replay, glue included: (states, actions, bookkeeping items).
-
-    taken is the machine states that start with back-, the only ones a
-    backward gadget's names can collide with.  Every tail with this replay
-    name and taken splices in these very tuples.
-    """
-    states: list = []
-    actions: list = []
-    bookkeeping = []
-    for sym, prefix in _BACK_PREFIXES:
-        gadget = _block(sym, BACKWARD, prefix, tuple(s for s in taken if s.startswith(prefix)))
-        _splice(states, actions, gadget, replay, replay)
-        bookkeeping.append((gadget, sym))
-    return tuple(states), tuple(actions), tuple(bookkeeping)
-
-
-class _ReadOnlyDict(dict):
-    """A dict that refuses every change, so a cache can hand it out; dict.update copies it with its stored hashes."""
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("a cached piece is read-only")
-
-    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
 
 
 @dataclass(frozen=True)
@@ -270,17 +245,25 @@ def _forward(sym: DeltaSymbol, prefix: str, taken: tuple[str, ...], source: str,
 
 
 @lru_cache(maxsize=256)
-def _tail(target: str, replay: str, cover: str, taken: tuple[str, ...]) -> tuple[_ReadOnlyDict, _Piece]:
+def _tail(target: str, replay: str, cover: str, taken: tuple[str, ...]) -> tuple[dict, _Piece]:
     """Everything after the forward gadgets: (the backward gadgets' bookkeeping, the piece).
 
-    The piece is the equals-one check from target into replay, the
-    backward half of replay and taken, and the final action into cover.
+    The piece is the equals-one check from target into replay, one
+    backward gadget per operation symbol glued in from replay and back to
+    it, and the final action into cover.  taken is the machine states that
+    start with back-, the only ones a backward gadget's names can collide
+    with.  compile_machine only copies the bookkeeping dict into its own.
     """
-    states, actions, bookkeeping = _backward_half(replay, taken)
-    return _ReadOnlyDict(bookkeeping), _Piece.of(
-        (replay, *states, cover),
-        (Action(target, _EQUALS_ONE, replay), *actions, Action(replay, _FINAL, cover)),
-    )
+    states = [replay]
+    actions = [Action(target, _EQUALS_ONE, replay)]
+    bookkeeping = {}
+    for sym, prefix in _BACK_PREFIXES:
+        gadget = _block(sym, BACKWARD, prefix, tuple(s for s in taken if s.startswith(prefix)))
+        _splice(states, actions, gadget, replay, replay)
+        bookkeeping[gadget] = sym
+    states.append(cover)
+    actions.append(Action(replay, _FINAL, cover))
+    return bookkeeping, _Piece.of(states, actions)
 
 
 def compile_machine(m: MinskyMachine) -> CompiledSystem:
@@ -297,9 +280,9 @@ def compile_machine(m: MinskyMachine) -> CompiledSystem:
     and empties it.
     A compile validates, picks the fresh start, replay and cover names, and
     concatenates cached pieces: the head, one forward piece per machine
-    action and the tail, which holds the shared backward half.  Each piece
+    action and the tail, which holds the backward gadgets.  Each piece
     carries its actions grouped by source, so the system's by_source comes
-    from merging them, and no search of it regroups the shared half.  The
+    from merging them, and no search of it regroups the backward gadgets.  The
     index and the bookkeeping, in splice order, are the only dicts built
     per compile.
     """
@@ -353,9 +336,6 @@ def gadget_contract_set(
         raise ValueError(f"entry count must be non-negative, got {m}")
     if bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
-    sys = Prvass(
-        (g.entry,) + g.internal_states + (g.exit,), STACK_ALPHABET, g.actions
-    )
     start_stack = (BOTTOM,) + tuple(record) + (MARKER,) + (UNARY,) * m
     start = Configuration(g.entry, start_stack, 0)
     bounds = Bounds(
@@ -364,14 +344,14 @@ def gadget_contract_set(
         max_counter=bound,
         max_visited=max(bound * bound, 1024),
     )
-    reach = reachable_set(sys, start, bounds)
+    reach = reachable_set(g.system, start, bounds)
     if not reach.complete:
         raise GadgetBoundError(
             f"enumeration from {start} exhausted bound {bound} before closure"
         )
     out = set()
     records = {}  # one tuple per record word, shared by all of its exits
-    for cfg in (reach.decode(key) for key in reach.keys if reach.state(key) == g.exit):
+    for cfg in (reach.decode(key) for key in reach.keys if key[0] == g.exit):
         if cfg.counter != 0:
             continue
         stack = cfg.stack

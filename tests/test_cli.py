@@ -246,7 +246,7 @@ def test_no_configuration_is_decoded_only_to_be_counted_or_dropped(workdir, monk
     g = build_gadget(parse_delta_token("m2"), FORWARD, ("g1", "g2", "g3"))
     assert gadget_contract_set(g, 3, (), 60) == {(("m2",), n) for n in range(7)}
     (closure,) = closures
-    exits = sum(closure.state(key) == g.exit for key in closure.keys)
+    exits = sum(key[0] == g.exit for key in closure.keys)
     assert 0 < exits < len(closure.keys) and decodes == [exits]
 
 

@@ -376,11 +376,12 @@ def test_flat_effects_match_the_reference_semantics():
         for stack in itertools.product("ab", repeat=height):
             for counter in range(4):
                 start = Configuration("s", stack, counter)
-                start_key, expand, label, decode, _, state = _family(sys, start, GENEROUS)
+                family = _family(sys, start, GENEROUS)
+                start_key, expand, label, decode = family.start, family.expand, family.label, family.decode
                 keys = expand(start_key)
                 reference = successors(sys, start)
                 assert [decode(key) for key in keys] == [cfg for _, cfg in reference], start
-                assert [state(key) for key in keys] == [cfg.state for _, cfg in reference], start
+                assert [key[0] for key in keys] == [cfg.state for _, cfg in reference], start
                 first: dict = {}
                 for action, cfg in reference:
                     first.setdefault(cfg, action)
@@ -401,8 +402,9 @@ def test_flat_two_counter_keys_match_the_reference_semantics():
         m = MinskyMachine(("s", "t"), body, "s", "t")
         for counters in itertools.product(range(4), repeat=2):
             start = MinskyConfig("s", counters)
-            start_key, expand, label, decode, _, state = _family(m, start, capped)
-            assert decode(start_key) == start and state(start_key) == "s"
+            family = _family(m, start, capped)
+            start_key, expand, label, decode = family.start, family.expand, family.label, family.decode
+            assert decode(start_key) == start and start_key[0] == "s"
             keys = expand(start_key)
             if max(counters) > 2:
                 assert keys == [None], (body, start)
@@ -411,7 +413,7 @@ def test_flat_two_counter_keys_match_the_reference_semantics():
             assert [key and decode(key) for key in keys] == [
                 None if max(cfg.counters) > 2 else cfg for _, cfg in reference
             ], (body, start)
-            assert [state(key) for key in keys if key] == [
+            assert [key[0] for key in keys if key] == [
                 cfg.state for _, cfg in reference if max(cfg.counters) <= 2
             ], (body, start)
             first: dict = {}
@@ -427,11 +429,11 @@ def test_unknown_counter_op_raises_when_its_state_is_expanded():
     m = MinskyMachine(("s", "p", "t", "u"), (MinskyAction("s", 0, "inc", "p"), bogus), "s", "t")
     with pytest.raises(ValueError) as reference:
         minsky_successors(m, MinskyConfig("p", (1, 0)))
-    start_key, expand, *_ = _family(m, MinskyConfig("s", (0, 0)), GENEROUS)
-    (p_key,) = expand(start_key)
+    family = _family(m, MinskyConfig("s", (0, 0)), GENEROUS)
+    (p_key,) = family.expand(family.start)
     for _ in range(2):
         with pytest.raises(ValueError) as flat:
-            expand(p_key)
+            family.expand(p_key)
         assert str(flat.value) == str(reference.value) == "unknown counter op: 'bogus'"
     with pytest.raises(ValueError, match="unknown counter op: 'bogus'"):
         minsky_bounded_reach(m, GENEROUS)
@@ -445,10 +447,10 @@ def test_unknown_instruction_kind_raises_when_its_state_is_expanded():
     start = Configuration("s", (), 0)
     with pytest.raises(ValueError) as reference:
         successors(sys, start)
-    start_key, expand, *_ = _family(sys, start, GENEROUS)
+    family = _family(sys, start, GENEROUS)
     for _ in range(2):
         with pytest.raises(ValueError) as flat:
-            expand(start_key)
+            family.expand(family.start)
         assert str(flat.value) == str(reference.value) == "unknown instruction kind: 'bogus'"
     with pytest.raises(ValueError, match="unknown instruction kind: 'bogus'"):
         bounded_cover(sys, start, "t", GENEROUS)
@@ -502,7 +504,7 @@ def _searched_sides(m, b):
 def _check_visited_dict(model, start, b, target=None):
     """Run _bfs and check its visited dict; returns the verdict, the dict and the family."""
     family = _family(model, start, b, target)
-    start_key, expand = family[:2]
+    start_key, expand = family.start, family.expand
     verdict, parents = _bfs(family, b)
     order = {key: i for i, key in enumerate(parents)}
     assert order[start_key] == 0 and parents[start_key] is None
@@ -530,7 +532,7 @@ def test_reachable_set_decodes_the_visited_dict_in_order():
     for name in (*CORPUS_EXPECTED, "big-counter"):
         for model, start, b, _ in _searched_sides(load_machine(name), GENEROUS):
             _, parents, family = _check_visited_dict(model, start, b)
-            decode = family[3]
+            decode = family.decode
             reach = reachable_set(model, start, b)
             assert list(reach.keys) == list(parents), name
             assert closure_configs(reach) == tuple(map(decode, parents)), name

@@ -25,7 +25,7 @@ from prvass.reduction import (
     GadgetBoundError,
     InvalidModelError,
     STACK_ALPHABET,
-    _backward_half,
+    _tail,
     build_gadget,
     compile_machine,
     gadget_contract_set,
@@ -313,8 +313,9 @@ def test_gadget_names_do_not_depend_on_compile_order(clear_compile_caches):
     assert index is not other and all(other[state] is group for state, group in index.items())
 
     # machines 1 and 2 differ only in their first action's target, so they
-    # share the second forward piece and the tail, backward half included
-    _, back_actions, back_gadgets = _backward_half("b'", ("back-m2/m2/q1", "back-m2/m2/q1'"))
+    # share the second forward piece and the tail, backward gadgets included
+    back_gadgets, tail = _tail("t", "b'", "t''", ("back-m2/m2/q1", "back-m2/m2/q1'"))
+    back_actions = tail.actions[1:-1]  # between the equals-one check and the final action
     second = compile_machine(machines[2])
     shared = 1 + len(list(first.bookkeeping)[0].actions) + 2  # the head and the first forward piece
     assert list(map(id, second.system.actions[shared:])) == list(map(id, first.system.actions[shared:]))
@@ -323,7 +324,7 @@ def test_gadget_names_do_not_depend_on_compile_order(clear_compile_caches):
     for compiled in (first, second):
         spliced = compiled.system.actions[-1 - len(back_actions) : -1]
         assert list(map(id, spliced)) == list(map(id, back_actions))
-        assert list(map(id, compiled.bookkeeping))[2:] == [id(g) for g, _ in back_gadgets]
+        assert list(map(id, compiled.bookkeeping))[2:] == list(map(id, back_gadgets))
 
     compiled = compile_machine(machines[1])
     states = compiled.system.states
