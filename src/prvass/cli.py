@@ -91,6 +91,12 @@ def _load_validated(path: str, kind: str | None = None):
     return model, text
 
 
+def _refuse_input_as_output(source: str, output: str) -> None:
+    """Refuse, before any work, an output path that names the input file, which writing it would replace."""
+    if output is not None and os.path.exists(output) and os.path.samefile(source, output):
+        raise _UsageError(f"{output}: output path names the input file, which it would overwrite")
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -101,6 +107,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 def cmd_compile(args) -> int:
     machine, _ = _load_validated(args.machine, "minsky")
+    _refuse_input_as_output(args.machine, args.output)
     compiled = compile_machine(machine)
     text = serialize_prvass(compiled.system)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -145,6 +152,7 @@ def cmd_cover(args) -> int:
     if start_state is None:
         raise _UsageError("no --start given and the file declares no init state")
     bounds = _bounds_from(args)
+    _refuse_input_as_output(args.system, args.trace_out)
     trace_created = _claim_trace_path(args.trace_out) if args.trace_out else False
     witness = None
     try:

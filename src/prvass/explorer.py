@@ -42,9 +42,7 @@ from .models import (
     INC_KIND,
     POP,
     PUSH,
-    RESET_KIND,
     Configuration,
-    MINSKY_OPS,
     MinskyConfig,
     MinskyMachine,
     Prvass,
@@ -115,6 +113,7 @@ def _effect(body):
     (bottom first) and sets the counter to delta after a reset, or adds
     delta to it otherwise.  A push of x then a pop of y cancels when x == y
     and is dead otherwise; so is a decrement below zero after a reset.
+    Instruction checks its kind when built, so the last branch is a reset.
     """
     pops, pushes = [], []
     need, reset, delta = 0, False, 0
@@ -135,10 +134,8 @@ def _effect(body):
             elif delta < 1:
                 return None
             delta -= 1
-        elif kind == RESET_KIND:
+        else:  # reset
             reset, delta = True, 0
-        else:
-            raise ValueError(f"unknown instruction kind: {kind!r}")
     return tuple(pops), tuple(pushes), need, reset, delta
 
 
@@ -183,8 +180,7 @@ def _prvass_family(start: Configuration, b: Bounds, by_source: dict, live: set, 
     and a key hashes in constant time.
     A state's actions, grouped by source in by_source, are normalised by
     _effect the first time the state is expanded, so a search that visits a
-    few states pays for those alone, and an unknown instruction kind raises
-    on every expansion of its state.  An action into a state outside live
+    few states pays for those alone.  An action into a state outside live
     is skipped before it is normalised, so no key ever reaches such a state.
     expand computes each successor's stack height and counter anyway, so it
     applies the stack and counter caps itself and gives None for a dropped
@@ -264,8 +260,7 @@ def _minsky_family(start: MinskyConfig, b: Bounds, by_source: dict, live: set, t
     A search key is the triple (state, counter 0, counter 1), a target when
     it is (target, 0, 0).  A state's actions, grouped by source in
     by_source, are compiled into moves the first time the state is
-    expanded, which is also when an unknown counter op raises.  An action
-    into a state outside live is skipped before its op is checked.  A key
+    expanded, and an action into a state outside live is left out.  A key
     is within the counter cap whenever it is expanded, so expand checks
     only the counter that moved and gives None for a successor past the
     cap.  expand(key, compiled) fires the given compiled moves instead of
@@ -275,14 +270,11 @@ def _minsky_family(start: MinskyConfig, b: Bounds, by_source: dict, live: set, t
     moves: dict = {}
 
     def compile_state(state):
-        compiled = []
-        for action in by_source.get(state, ()):
-            if action.target not in live:
-                continue
-            if action.op not in MINSKY_OPS:
-                raise ValueError(f"unknown counter op: {action.op!r}")
-            compiled.append((action, action.target, action.counter_index, action.op))
-        moves[state] = compiled
+        compiled = moves[state] = [
+            (action, action.target, action.counter_index, action.op)
+            for action in by_source.get(state, ())
+            if action.target in live
+        ]
         return compiled
 
     cap = b.max_counter

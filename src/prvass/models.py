@@ -30,10 +30,19 @@ _TOKEN = re.compile(r"[^\s:,()#]+")
 
 @dataclass(frozen=True)
 class Instruction:
-    """One stack or counter instruction; ``symbol`` is set only for push/pop."""
+    """One stack or counter instruction, checked when built: ``symbol`` is a str for push/pop, else None."""
 
     kind: str
     symbol: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in INSTRUCTION_KINDS:
+            raise ValueError(f"unknown instruction kind: {self.kind!r}")
+        if self.kind in (PUSH, POP):
+            if not isinstance(self.symbol, str):
+                raise ValueError(f"{self.kind} needs a str symbol, got {self.symbol!r}")
+        elif self.symbol is not None:
+            raise ValueError(f"stray symbol {self.symbol!r} on {self.kind}")
 
     def __str__(self) -> str:
         if self.kind in (PUSH, POP):
@@ -107,10 +116,18 @@ class Configuration:
 
 @dataclass(frozen=True)
 class MinskyAction:
+    """A two-counter step, checked when built: ``op`` is one of MINSKY_OPS on the int counter 0 or 1."""
+
     source: str
     counter_index: int
     op: str
     target: str
+
+    def __post_init__(self) -> None:
+        if type(self.counter_index) is not int or self.counter_index not in (0, 1):
+            raise ValueError(f"counter index {self.counter_index!r} not 0 or 1")
+        if self.op not in MINSKY_OPS:
+            raise ValueError(f"unknown counter op: {self.op!r}")
 
 
 @dataclass(frozen=True)
@@ -162,9 +179,7 @@ def step_instruction(sc: StackCounter, instr: Instruction) -> StackCounter | Non
         if counter >= 1:
             return stack, counter - 1
         return None
-    if kind == RESET_KIND:
-        return stack, 0
-    raise ValueError(f"unknown instruction kind: {instr.kind!r}")
+    return stack, 0  # reset, the one kind left
 
 
 def step_sequence(sc: StackCounter, body: tuple[Instruction, ...]) -> StackCounter | None:
@@ -213,12 +228,10 @@ def minsky_successors(m: MinskyMachine, cfg: MinskyConfig) -> list[tuple[MinskyA
             if value == 0:
                 continue
             new_value = value - 1
-        elif action.op == "zero":
+        else:  # zero
             if value != 0:
                 continue
             new_value = 0
-        else:
-            raise ValueError(f"unknown counter op: {action.op!r}")
         counters = (new_value, n1) if action.counter_index == 0 else (n0, new_value)
         out.append((action, MinskyConfig(action.target, counters)))
     return out
@@ -226,7 +239,7 @@ def minsky_successors(m: MinskyMachine, cfg: MinskyConfig) -> list[tuple[MinskyA
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One well-formedness violation; diagnostics are data, not exceptions."""
+    """A bad name, a duplicate or an undeclared reference, as data; an ill-formed element cannot be built."""
 
     where: str
     message: str
@@ -263,15 +276,10 @@ def _validate_prvass(sys: Prvass) -> list[Diagnostic]:
         if action.target not in states:
             diags.append(Diagnostic(_where(i, action), f"unknown target state {action.target!r}"))
         for j, instr in enumerate(action.body):
-            if instr.kind not in INSTRUCTION_KINDS:
-                diags.append(Diagnostic(_where(i, action), f"instruction {j}: unknown kind {instr.kind!r}"))
-            elif instr.kind in (PUSH, POP):
-                if instr.symbol not in alphabet:
-                    diags.append(
-                        Diagnostic(_where(i, action), f"instruction {j}: symbol {instr.symbol!r} not in stack alphabet")
-                    )
-            elif instr.symbol is not None:
-                diags.append(Diagnostic(_where(i, action), f"instruction {j}: stray symbol on {instr.kind}"))
+            if instr.symbol is not None and instr.symbol not in alphabet:
+                diags.append(
+                    Diagnostic(_where(i, action), f"instruction {j}: symbol {instr.symbol!r} not in stack alphabet")
+                )
     if sys.init is not None and sys.init not in states:
         diags.append(Diagnostic("init", f"unknown initial state {sys.init!r}"))
     return diags
@@ -291,15 +299,11 @@ def _validate_minsky(m: MinskyMachine) -> list[Diagnostic]:
             diags.append(Diagnostic(_where(i, action), f"unknown source state {action.source!r}"))
         if action.target not in states:
             diags.append(Diagnostic(_where(i, action), f"unknown target state {action.target!r}"))
-        if action.counter_index not in (0, 1):
-            diags.append(Diagnostic(_where(i, action), f"counter index {action.counter_index!r} not 0 or 1"))
-        if action.op not in MINSKY_OPS:
-            diags.append(Diagnostic(_where(i, action), f"unknown counter op {action.op!r}"))
     return diags
 
 
 def validate(sys: Prvass | MinskyMachine) -> list[Diagnostic]:
-    """All invariant violations of a system; empty list iff well-formed."""
+    """All bad names, duplicates and undeclared states and symbols of a system; empty list iff well-formed."""
     if isinstance(sys, Prvass):
         return _validate_prvass(sys)
     if isinstance(sys, MinskyMachine):

@@ -286,8 +286,9 @@ def check_two_approximations(rs, domain_bound: int) -> TwoApproximationsReport:
     also on non-monotone relations.  Row m is in both weak compositions
     exactly at the n <= fwd[m] with m <= bwd[n], so it holds iff that set
     is {exact[m]}: builtin max over bwd[:fwd[m] + 1] on either side of
-    exact[m] decides a row at C speed, and only a failing row is rescanned
-    cell by cell for its first counterexample.
+    exact[m] decides a row at C speed; the rows still take time quadratic
+    in domain_bound.  Only a failing row is rescanned cell by cell for its
+    first counterexample.
     """
     rs = _checked_sequence(rs, domain_bound)
     exact = _exact_values(rs, domain_bound)

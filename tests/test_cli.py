@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import re
@@ -110,8 +111,25 @@ def test_cover_without_a_witness_keeps_a_file_already_at_the_trace_path(workdir)
         assert main(["cover", str(system), "--target", target, "--trace-out", str(kept)]) == code
         assert kept.read_text() == "keep me\n"
     model = system.read_text()
-    assert main(["cover", str(system), "--target", "t'", "--trace-out", str(system)]) == 1
+    assert main(["cover", str(system), "--target", "t'", "--trace-out", str(system)]) == 3
     assert system.read_text() == model
+
+
+@pytest.mark.parametrize("command", ["compile", "cover"])
+def test_an_output_path_that_names_the_input_exits_three_and_writes_nothing(workdir, command, capsys):
+    # writing the output would replace the input: compile's with the compiled system, cover's with its own witness
+    if command == "compile":
+        source = workdir / "inc-dec.minsky"
+        argv = ["compile", str(source)]
+    else:
+        source = _compile(workdir, "inc-dec")
+        argv = ["cover", str(source), "--target", "t'", "--trace-out"]
+    before = source.read_bytes()
+    capsys.readouterr()
+    for output in (source, workdir / "." / source.name):
+        assert main(argv + [str(output)]) == 3
+        assert source.read_bytes() == before
+        assert capsys.readouterr().err.endswith(": output path names the input file, which it would overwrite\n")
 
 
 def test_cover_json_payload(workdir, capsys):
@@ -387,3 +405,14 @@ def test_the_package_root_exports_nothing_and_loads_no_module():
     )
     out = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True).stdout
     assert out == "[]\n[]\n"
+
+
+def test_every_module_parses_as_the_oldest_python_the_package_declares():
+    root = Path(__file__).resolve().parents[1]
+    assert 'requires-python = ">=3.10"' in (root / "pyproject.toml").read_text()
+    modules = sorted((root / "src" / "prvass").glob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):  # syntax that 3.10 lacks is rejected
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

@@ -25,7 +25,6 @@ from prvass.models import (
     DEC,
     INC,
     RESET,
-    Instruction,
     MinskyAction,
     MinskyConfig,
     MinskyMachine,
@@ -422,38 +421,6 @@ def test_flat_two_counter_keys_match_the_reference_semantics():
             for key in dict.fromkeys(keys):
                 if key is not None:
                     assert label(start_key, key) is first[decode(key)], (body, start, decode(key))
-
-
-def test_unknown_counter_op_raises_when_its_state_is_expanded():
-    bogus = MinskyAction("p", 1, "bogus", "t")
-    m = MinskyMachine(("s", "p", "t", "u"), (MinskyAction("s", 0, "inc", "p"), bogus), "s", "t")
-    with pytest.raises(ValueError) as reference:
-        minsky_successors(m, MinskyConfig("p", (1, 0)))
-    family = _family(m, MinskyConfig("s", (0, 0)), GENEROUS)
-    (p_key,) = family.expand(family.start)
-    for _ in range(2):
-        with pytest.raises(ValueError) as flat:
-            family.expand(p_key)
-        assert str(flat.value) == str(reference.value) == "unknown counter op: 'bogus'"
-    with pytest.raises(ValueError, match="unknown counter op: 'bogus'"):
-        minsky_bounded_reach(m, GENEROUS)
-    # from a state that never reaches p, the bogus action is never read
-    unreached = MinskyMachine(m.states, m.actions + (MinskyAction("u", 0, "inc", "t"),), "u", "t")
-    assert minsky_bounded_reach(unreached, GENEROUS).outcome == EXHAUSTED_NO_COVER
-
-
-def test_unknown_instruction_kind_raises_when_its_state_is_expanded():
-    sys = Prvass(("s", "t"), (), (Action("s", (INC,), "t"), Action("s", (Instruction("bogus"),), "t")))
-    start = Configuration("s", (), 0)
-    with pytest.raises(ValueError) as reference:
-        successors(sys, start)
-    family = _family(sys, start, GENEROUS)
-    for _ in range(2):
-        with pytest.raises(ValueError) as flat:
-            family.expand(family.start)
-        assert str(flat.value) == str(reference.value) == "unknown instruction kind: 'bogus'"
-    with pytest.raises(ValueError, match="unknown instruction kind: 'bogus'"):
-        bounded_cover(sys, start, "t", GENEROUS)
 
 
 def _reference_closure(sys, start, b):
