@@ -3,31 +3,32 @@
 Coverability of a target state and reachability of a target counter pair
 are both undecidable in general, so every search here is bounded and the
 verdicts are honest about it: exhausted_no_cover is only reported when the
-frontier emptied and no successor was ever pruned by a bound, otherwise
-the outcome is bounds_hit.  A search with a target also trims the control
-graph before it starts (cone-of-influence reduction): it walks forward from
-the start state over the actions, then back from the target state over the
+frontier emptied and no successor was ever pruned by a bound, otherwise the
+outcome is bounds_hit.  A search with a target also trims the control graph
+before it starts (cone-of-influence reduction): it walks forward from the
+start state over the actions, then back from the target state over the
 actions it walked, and drops every action into a state off those paths.
 That relevance prune removes only configurations that can never reach the
 target, so it is not a bound: exhausted_no_cover still means that every
 configuration that could reach the target was enumerated.  When the start
 state has no control path to the target, the trim is empty and the search
-is the start configuration alone.  The walks and the expansions read the
-model's by_source, its actions grouped by source state, which each model
-builds once and every search of it shares; a compiled system gets it from
-compile_machine, merged from the groupings of its cached pieces, so no
-search regroups the backward gadgets that every compile shares.  Searches
-are breadth-first with a visited set keyed on the full configuration, which
-makes witnesses minimal in action count and results deterministic.  A stack-and-counter
-configuration is keyed by a (state, stack node, counter) triple whose stack
-is hash-consed, and a two-counter configuration by a plain (state, counter
-0, counter 1) triple; either is decoded back into a Configuration or a
-MinskyConfig only where a caller sees it, and either has its state as its
-first item, which is how a caller reads the state without decoding.  Each
-model family hands the search core one Family record, its start key and
-its hooks by name; the core handles keys alone: it records each visited
-key's parent key, and the actions of a witness are recovered only once the
-witness is found.
+is the start configuration alone: it builds neither stack trie nor tables,
+only a start key, the start state alone, which expands to nothing.  The
+walks and the expansions read the model's by_source, its actions grouped by
+source state, which each model builds once and every search of it shares; a
+compiled system gets it from compile_machine, merged from the groupings of
+its cached pieces, so no search regroups the backward gadgets that every
+compile shares.  Searches are breadth-first with a visited set keyed on the
+full configuration, which makes witnesses minimal in action count and
+results deterministic.  A stack-and-counter configuration is keyed by a
+(state, stack node, counter) triple whose stack is hash-consed, and a
+two-counter configuration by a plain (state, counter 0, counter 1) triple;
+either is decoded back into a Configuration or a MinskyConfig only where a
+caller sees it, and either has its state as its first item, which is how a
+caller reads the state without decoding.  Each model family hands the
+search core one Family record, its start key and its hooks by name; the
+core handles keys alone: it records each visited key's parent key, and the
+actions of a witness are recovered only once the witness is found.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .models import (
     minsky_successors,
     successors,
 )
+from .reduction import compile_machine
 
 COVERED = "covered"
 EXHAUSTED_NO_COVER = "exhausted_no_cover"
@@ -338,7 +340,11 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None 
     state: a search only expands states that the start reaches, and from
     one of those a configuration off the trim can never reach the target,
     so dropping it is exact and is not a bound prune.  Without a target
-    every state is kept.
+    every state is kept.  An empty trim builds no family of the model at
+    all, neither trie nor tables: the start key is the start state alone,
+    it expands to nothing (or to the one dropped successor of a start over
+    a cap), is no target, and decodes to start, so the search ends after
+    its first layer with exhausted_no_cover (or bounds_hit) and visited 1.
     This is also the one place that checks the search's inputs belong to the
     model: the start state and the target state, when one is named, must be
     declared, and every start stack symbol must be in the alphabet.
@@ -346,21 +352,26 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None 
     for what, state in (("target", target), ("start", start.state)):
         if state is not None and state not in model.states:
             raise ValueError(f"{what} state {state!r} not in the system")
-    by_source = model.by_source
-    live = set(model.states) if target is None else _trim(by_source, start.state, target)
     if isinstance(model, Prvass):
         for symbol in start.stack:
             if symbol not in model.stack_alphabet:
                 raise ValueError(f"start stack symbol {symbol!r} not in the stack alphabet")
-        start_key, expand, table, decode, is_target = _prvass_family(start, b, by_source, live, target)
+        build = _prvass_family
         over_cap = len(start.stack) > b.max_stack or start.counter > b.max_counter
     else:
-        start_key, expand, table, decode, is_target = _minsky_family(start, b, by_source, live, target)
+        build = _minsky_family
         over_cap = max(start.counters) > b.max_counter
+    by_source = model.by_source
+    live = set(model.states) if target is None else _trim(by_source, start.state, target)
+    if live:
+        start_key, expand, table, decode, is_target = build(start, b, by_source, live, target)
 
-    def label(key, succ):
-        return next(entry[0] for entry in table[key[0]] if expand(key, (entry,)) == [succ])
+        def label(key, succ):
+            return next(entry[0] for entry in table[key[0]] if expand(key, (entry,)) == [succ])
 
+    else:  # the start key alone: it never gains a successor, so label is never asked
+        start_key, expand, label = (start.state,), lambda key: [], lambda key, succ: None
+        decode, is_target = lambda key: start, lambda key: False
     return Family(start_key, (lambda key: [None]) if over_cap else expand, label, decode, is_target)
 
 
@@ -488,8 +499,6 @@ class DifferentialReport:
 
 def differential_check(m: MinskyMachine, b_minsky: Bounds, b_prvass: Bounds) -> DifferentialReport:
     """Run both sides of the reduction and compare the verdicts."""
-    from .reduction import compile_machine
-
     compiled = compile_machine(m)
     mv = minsky_bounded_reach(m, b_minsky)
     pv = bounded_cover(

@@ -42,18 +42,25 @@ _DIGITS = re.compile(r"[0-9]+")  # a trace counter, as render_trace writes it
 _DIGEST = re.compile(r"[0-9a-f]{64}")  # a trace header's digest, as system_digest gives it
 
 
-def _significant_lines(text: str):
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if line.strip():
-            yield lineno, line
+def _significant_lines(text: str) -> list:
+    """(number, text) of each line that holds more than a comment and blanks, the comment and end blanks cut."""
+    lines = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        line = line.rstrip()
+        if line:
+            lines.append((lineno, line))
+    return lines
 
 
-def _check_token(token: str, lineno: int, line: str, what: str) -> str:
-    if not _TOKEN.fullmatch(token):
-        column = line.find(token, line.index(":") + 1) + 1
-        raise ParseError(lineno, column, f"bad {what} token {token!r}")
-    return token
+def _names(tokens: list, lineno: int, line: str, what: str) -> tuple:
+    """The tokens of a 'key: names' line as a tuple, once each is checked to be a name."""
+    for token in tokens:
+        if not _TOKEN.fullmatch(token):
+            column = line.find(token, line.index(":") + 1) + 1
+            raise ParseError(lineno, column, f"bad {what} token {token!r}")
+    return tuple(tokens)
 
 
 def _key_line(lines, key: str, last: int):
@@ -62,29 +69,39 @@ def _key_line(lines, key: str, last: int):
     last is the number of the line read before it; a file that ends first
     is reported at the line after that one.
     """
-    lineno, line = next(lines, (last + 1, None))
-    if line is None or not line.strip().startswith(key + ":"):
+    lineno, line = next(lines, (last + 1, ""))
+    body = line.lstrip()
+    if not body.startswith(key + ":"):
         raise ParseError(lineno, 1, f"expected a {key!r} line")
-    return lineno, line, line.strip()[len(key) + 1 :].split()
+    return lineno, line, body[len(key) + 1 :].split()
 
 
-def parse_model_file(text: str) -> MinskyMachine | Prvass:
-    """Parse either model format by its kind line into a MinskyMachine, or a Prvass whose init is its 'init:' line."""
-    lines = _significant_lines(text)
+def _kind_line(text: str):
+    """A model file's kind, the number of its kind line, and an iterator over the significant lines after it."""
+    lines = iter(_significant_lines(text))
     lineno, line = next(lines, (None, None))
     if line is None:
         raise ParseError(1, 1, "empty file: expected a kind line ('minsky' or 'prvass')")
     kind = line.strip()
+    if kind not in ("minsky", "prvass"):
+        raise ParseError(lineno, 1, f"unknown model kind {kind!r} (expected 'minsky' or 'prvass')")
+    return kind, lineno, lines
+
+
+def parse_model_file(text: str) -> MinskyMachine | Prvass:
+    """Parse either model format by its kind line into a MinskyMachine, or a Prvass whose init is its 'init:' line."""
+    kind, lineno, lines = _kind_line(text)
     if kind == "minsky":
         return _parse_machine_body(lines, lineno)
-    if kind == "prvass":
-        return _parse_system_body(lines, lineno)
-    raise ParseError(lineno, 1, f"unknown model kind {kind!r} (expected 'minsky' or 'prvass')")
+    return _parse_system_body(lines, lineno)
+
+
+_COUNTER_INDEX = {"0": 0, "1": 1}
 
 
 def _parse_machine_body(lines, lineno: int) -> MinskyMachine:
     lineno, line, states = _key_line(lines, "states", lineno)
-    states = tuple(_check_token(s, lineno, line, "state") for s in states)
+    states = _names(states, lineno, line, "state")
     lineno, _, init = _key_line(lines, "init", lineno)
     if len(init) != 1:
         raise ParseError(lineno, 1, "expected exactly one initial state")
@@ -97,13 +114,14 @@ def _parse_machine_body(lines, lineno: int) -> MinskyMachine:
         if len(tokens) != 4:
             raise ParseError(lineno, 1, f"expected 'source counter op target', got {line.strip()!r}")
         src, idx, op, dst = tokens
-        if idx not in ("0", "1"):
+        index = _COUNTER_INDEX.get(idx)
+        if index is None:
             column = list(re.finditer(r"\S+", line))[1].start() + 1
             raise ParseError(lineno, column, f"counter index must be 0 or 1, got {idx!r}")
         if op not in MINSKY_OPS:
             column = list(re.finditer(r"\S+", line))[2].start() + 1
             raise ParseError(lineno, column, f"op must be inc, dec or zero, got {op!r}")
-        actions.append(MinskyAction(src, int(idx), op, dst))
+        actions.append(MinskyAction(src, index, op, dst))
     return MinskyMachine(states, tuple(actions), init[0], final[0])
 
 
@@ -127,9 +145,9 @@ def _parse_instruction(token: str, lineno: int, column: int) -> Instruction:
 
 def _parse_system_body(lines, lineno: int) -> Prvass:
     lineno, line, states = _key_line(lines, "states", lineno)
-    states = tuple(_check_token(s, lineno, line, "state") for s in states)
+    states = _names(states, lineno, line, "state")
     lineno, line, stack = _key_line(lines, "stack", lineno)
-    stack = tuple(_check_token(s, lineno, line, "stack symbol") for s in stack)
+    stack = _names(stack, lineno, line, "stack symbol")
     init = None
     init_line = None
     actions = []
@@ -158,11 +176,12 @@ def _parse_system_body(lines, lineno: int) -> Prvass:
 
 
 def parse_minsky(text: str) -> MinskyMachine:
-    model = parse_model_file(text)
-    if not isinstance(model, MinskyMachine):
-        lineno = next(_significant_lines(text))[0]  # report the kind line
-        raise ParseError(lineno, 1, "expected a minsky file, got kind 'prvass'")
-    return model
+    """Parse a two-counter machine file; a stack system's file is refused at its kind line once its body parses."""
+    kind, lineno, lines = _kind_line(text)
+    if kind == "minsky":
+        return _parse_machine_body(lines, lineno)
+    _parse_system_body(lines, lineno)  # an ill-formed body reports its own error first, as parse_model_file would
+    raise ParseError(lineno, 1, "expected a minsky file, got kind 'prvass'")
 
 
 def serialize_minsky(m: MinskyMachine) -> str:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
 PUSH = "push"
 POP = "pop"
@@ -82,6 +81,32 @@ def group_by_source(actions) -> dict:
     return groups
 
 
+class _per_instance:
+    """A method's value, computed on the first read and stored in the instance dict.
+
+    Later reads find the stored value before the descriptor, as with
+    functools.cached_property, and storing a value there first (as
+    compile_machine does) makes it the one read.  by_source does not use
+    cached_property because in Python 3.10 and 3.11 that takes a lock on
+    every first read, which costs more than grouping a small machine's
+    actions, and every freshly parsed machine reads by_source once per
+    check; 3.12's cached_property has no lock and works as this does.
+    """
+
+    def __init__(self, method) -> None:
+        self.method = method
+        self.__doc__ = method.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.method(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class Prvass:
     """A stack-and-counter system: states, stack alphabet, actions, and an optional initial state.
@@ -95,7 +120,7 @@ class Prvass:
     actions: tuple[Action, ...]
     init: str | None = None
 
-    @cached_property
+    @_per_instance
     def by_source(self) -> dict:
         """The actions grouped by source state, in declaration order, as tuples; built once per system."""
         return group_by_source(self.actions)
@@ -139,7 +164,7 @@ class MinskyMachine:
     source: str
     target: str
 
-    @cached_property
+    @_per_instance
     def by_source(self) -> dict:
         """The actions grouped by source state, in declaration order, as tuples; built once per machine."""
         return group_by_source(self.actions)

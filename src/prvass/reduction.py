@@ -53,7 +53,6 @@ from .models import (
     push,
     validate,
 )
-from .explorer import Bounds, reachable_set
 from .relations import ALPHABET, DeltaSymbol, DIV, MULT, TEST, minsky_action_to_symbol
 
 BOTTOM = "bot"
@@ -312,7 +311,7 @@ def compile_machine(m: MinskyMachine) -> CompiledSystem:
     tail.splice(states, actions, by_source)
 
     system = Prvass(tuple(states), STACK_ALPHABET, tuple(actions), start)
-    system.__dict__["by_source"] = by_source  # the value of the cached property, assembled from the pieces
+    system.__dict__["by_source"] = by_source  # what reads of by_source return: no regrouping
     return CompiledSystem(system, start, cover, bookkeeping)
 
 
@@ -332,19 +331,24 @@ def gadget_contract_set(
     equality with the weak-membership predicate of the gadget's symbol is
     what makes a wiring correct.
     """
+    # imported here, not at load, since the explorer imports this module
+    # for compile_machine when it loads; importing the module alone skips
+    # the per-call name handling that importing its names would pay
+    from . import explorer
+
     if m < 0:
         raise ValueError(f"entry count must be non-negative, got {m}")
     if bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
     start_stack = (BOTTOM,) + tuple(record) + (MARKER,) + (UNARY,) * m
     start = Configuration(g.entry, start_stack, 0)
-    bounds = Bounds(
+    bounds = explorer.Bounds(
         max_steps=max(bound * 4, 16),
         max_stack=len(start_stack) + bound,
         max_counter=bound,
         max_visited=max(bound * bound, 1024),
     )
-    reach = reachable_set(g.system, start, bounds)
+    reach = explorer.reachable_set(g.system, start, bounds)
     if not reach.complete:
         raise GadgetBoundError(
             f"enumeration from {start} exhausted bound {bound} before closure"

@@ -274,6 +274,22 @@ class TwoApproximationsReport:
         return self.counterexample is None
 
 
+def _top_two(values: list[int]) -> list[tuple[int, int, int]]:
+    """Per prefix of values: (its largest value, an index holding it, its largest value at any other index).
+
+    A value missing (the second of a one-item prefix) reads -1.
+    """
+    out = []
+    best, at, second = -1, -1, -1
+    for i, v in enumerate(values):
+        if v > best:
+            best, at, second = v, i, best
+        elif v > second:
+            second = v
+        out.append((best, at, second))
+    return out
+
+
 def check_two_approximations(rs, domain_bound: int) -> TwoApproximationsReport:
     """Exhaustively compare the exact composition with both weak compositions.
 
@@ -285,26 +301,26 @@ def check_two_approximations(rs, domain_bound: int) -> TwoApproximationsReport:
     test suite cross-validates against the enumeration in compose_image,
     also on non-monotone relations.  Row m is in both weak compositions
     exactly at the n <= fwd[m] with m <= bwd[n], so it holds iff that set
-    is {exact[m]}: builtin max over bwd[:fwd[m] + 1] on either side of
-    exact[m] decides a row at C speed; the rows still take time quadratic
-    in domain_bound.  Only a failing row is rescanned cell by cell for its
+    is {exact[m]}: iff bwd[exact[m]] >= m when exact[m] is in the row, and
+    every other bwd[n] with n <= min(fwd[m], domain_bound) is below m.  The
+    top two maxima of each prefix of bwd give the largest of those others
+    at once, so each row costs a few compares and the check is linear in
+    domain_bound.  Only a failing row is rescanned cell by cell for its
     first counterexample.
     """
     rs = _checked_sequence(rs, domain_bound)
     exact = _exact_values(rs, domain_bound)
     fwd = _forward_ceilings(rs, domain_bound)
     bwd = _backward_ceilings(rs, domain_bound)
+    top_two = _top_two(bwd)
     for m in range(domain_bound + 1):
         v = exact[m]
-        row = bwd[: min(fwd[m], domain_bound) + 1]
-        if v is not None and v < len(row):
-            holds = (
-                row[v] >= m
-                and max(row[:v], default=-1) < m
-                and max(row[v + 1 :], default=-1) < m
-            )
+        top = min(fwd[m], domain_bound)
+        best, at, second = top_two[top] if top >= 0 else (-1, -1, -1)
+        if v is not None and v <= top:
+            holds = bwd[v] >= m and (second if at == v else best) < m
         else:
-            holds = max(row, default=-1) < m and (v is None or v > domain_bound)
+            holds = best < m and (v is None or v > domain_bound)
         if holds:
             continue
         for n in range(domain_bound + 1):

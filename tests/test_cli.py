@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from prvass import cli, reduction
+from prvass import cli, explorer
 from prvass.cli import main
 from prvass.explorer import Bounds, differential_check, replay_trace
 from prvass.formats import parse_model_file, parse_trace, system_digest
@@ -260,7 +260,7 @@ def test_no_configuration_is_decoded_only_to_be_counted_or_dropped(workdir, monk
     assert main(["simulate", str(_compile(workdir, "big-counter"))]) == 2
     assert "REACHABLE=49972" in capsys.readouterr().out
     assert len(closures) == 1 and decodes == [0]
-    decodes, closures = _count_decodes(monkeypatch, reduction)
+    decodes, closures = _count_decodes(monkeypatch, explorer)  # gadget_contract_set reads reachable_set off it
     g = build_gadget(parse_delta_token("m2"), FORWARD, ("g1", "g2", "g3"))
     assert gadget_contract_set(g, 3, (), 60) == {(("m2",), n) for n in range(7)}
     (closure,) = closures

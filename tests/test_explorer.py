@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from prvass import explorer
 from prvass.explorer import (
     BOUNDS_HIT,
     Bounds,
@@ -248,6 +249,8 @@ PUMP_AWAY_MACHINE = MinskyMachine(
     "s",
     "t",
 )
+# from p no control path leads to t: a search with that target has an empty trim
+PUMP_FROM_P = MinskyMachine(PUMP_AWAY_MACHINE.states, PUMP_AWAY_MACHINE.actions, "p", "t")
 SMALL = Bounds(10_000, 8, 100, 1000)
 
 
@@ -261,23 +264,15 @@ def test_pumping_loop_that_cannot_reach_the_target_is_not_a_bound():
         assert verdict.outcome == EXHAUSTED_NO_COVER
         assert verdict.stats.visited == 1
     # reachable_set has no target: on the same systems the loop still runs
-    # into the bounds
+    # into the bounds, also from p, where a search for t has an empty trim
     for closure in (
         reachable_set(PUMP_AWAY, Configuration("s", (), 0), SMALL),
         reachable_set(PUMP_AWAY_MACHINE, MinskyConfig("s", (0, 0)), SMALL),
+        reachable_set(PUMP_AWAY, Configuration("p", (), 0), SMALL),
+        reachable_set(PUMP_FROM_P, MinskyConfig("p", (0, 0)), SMALL),
     ):
         assert not closure.complete
         assert any(cfg.state == "p" for cfg in closure_configs(closure))
-
-
-def test_start_that_cannot_reach_the_target_visits_only_the_start():
-    verdict = bounded_cover(PUMP_AWAY, Configuration("p", (), 0), "t", SMALL)
-    assert verdict.outcome == EXHAUSTED_NO_COVER
-    assert verdict.stats.visited == 1
-    machine = MinskyMachine(PUMP_AWAY_MACHINE.states, PUMP_AWAY_MACHINE.actions, "p", "t")
-    verdict = minsky_bounded_reach(machine, SMALL)
-    assert verdict.outcome == EXHAUSTED_NO_COVER
-    assert verdict.stats.visited == 1
 
 
 def test_start_over_a_cap_is_visited_but_never_expanded():
@@ -304,6 +299,81 @@ def test_start_over_a_cap_is_visited_but_never_expanded():
     closure = reachable_set(machine, start, Bounds(1000, 64, 100, 1000))
     assert closure_configs(closure) == (start,)
     assert not closure.complete
+
+
+@pytest.fixture
+def no_family_builds(monkeypatch):
+    """Make building either model family fail: an empty trim must not build one."""
+
+    def refuse(*args):
+        raise AssertionError("a search with an empty trim built a model family")
+
+    monkeypatch.setattr(explorer, "_prvass_family", refuse)
+    monkeypatch.setattr(explorer, "_minsky_family", refuse)
+
+
+def test_start_that_cannot_reach_the_target_visits_only_the_start(no_family_builds):
+    # s 0 dec p and t 0 inc t: neither side's start reaches its target
+    actions = (MinskyAction("s", 0, "dec", "p"), MinskyAction("t", 0, "inc", "t"))
+    machine = MinskyMachine(("s", "p", "t"), actions, "s", "t")
+    compiled = compile_machine(machine)
+    report = differential_check(machine, SMALL, SMALL)
+    assert report.status == "agree"
+    for verdict in (
+        bounded_cover(PUMP_AWAY, Configuration("p", ("a", "a"), 3), "t", SMALL),
+        bounded_cover(compiled.system, Configuration(compiled.start, (), 0), compiled.cover_target, SMALL),
+        minsky_bounded_reach(PUMP_FROM_P, SMALL),
+        report.minsky_verdict,
+        report.prvass_verdict,
+    ):
+        assert verdict.outcome == EXHAUSTED_NO_COVER and verdict.trace is None
+        assert (verdict.stats.visited, verdict.stats.frontier_peak) == (1, 1)
+
+
+def test_an_empty_trim_from_a_start_over_a_cap_is_bounds_hit(no_family_builds):
+    b = Bounds(1000, 8, 100, 1000)
+    for model, start in (
+        (PUMP_AWAY, Configuration("p", ("a",) * 9, 0)),
+        (PUMP_AWAY, Configuration("p", (), 101)),
+        (PUMP_FROM_P, MinskyConfig("p", (0, 101))),
+    ):
+        family = _family(model, start, b, "t")
+        assert family.start[0] == "p" and family.decode(family.start) == start
+        verdict, parents = _bfs(family, b)
+        assert verdict.outcome == BOUNDS_HIT and verdict.trace is None
+        assert (verdict.stats.visited, verdict.stats.frontier_peak) == (1, 1)
+        assert list(parents) == [family.start]
+
+
+@pytest.mark.parametrize(
+    "search, message",
+    [
+        (
+            lambda: bounded_cover(PUMP_AWAY, Configuration("missing", (), 0), "t", SMALL),
+            "start state 'missing' not in the system",
+        ),
+        (
+            lambda: bounded_cover(PUMP_AWAY, Configuration("p", (), 0), "missing", SMALL),
+            "target state 'missing' not in the system",
+        ),
+        (
+            lambda: bounded_cover(PUMP_AWAY, Configuration("p", ("zz",), 0), "t", SMALL),
+            "start stack symbol 'zz' not in the stack alphabet",
+        ),
+        (
+            lambda: minsky_bounded_reach(replace(PUMP_FROM_P, source="missing"), SMALL),
+            "start state 'missing' not in the system",
+        ),
+        (
+            lambda: minsky_bounded_reach(replace(PUMP_FROM_P, target="missing"), SMALL),
+            "target state 'missing' not in the system",
+        ),
+    ],
+)
+def test_an_empty_trim_still_checks_the_search_inputs(no_family_builds, search, message):
+    with pytest.raises(ValueError) as exc:
+        search()
+    assert str(exc.value) == message
 
 
 def test_witness_names_the_first_declared_action_of_a_tie():
@@ -553,7 +623,7 @@ def test_differential_disagrees_when_the_compiled_side_differs(monkeypatch):
     # a disagreement would be a fault of the construction, so one is staged:
     # inc-dec's machine side (covered) against inc-only's compiled system
     inc_only = compile_machine(load_machine("inc-only"))
-    monkeypatch.setattr("prvass.reduction.compile_machine", lambda m: inc_only)
+    monkeypatch.setattr("prvass.explorer.compile_machine", lambda m: inc_only)
     report = differential_check(load_machine("inc-dec"), GENEROUS, GENEROUS)
     assert report.status == "disagree"
     assert report.minsky_verdict.outcome == COVERED

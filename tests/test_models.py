@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 
+from prvass import explorer, models
 from prvass.models import (
     Action,
     Configuration,
@@ -369,3 +371,51 @@ def test_instruction_tokens_render():
     assert str(pop("m2")) == "pop(m2)"
     assert str(INC) == "inc" and str(DEC) == "dec" and str(RESET) == "reset"
     assert Instruction("inc").symbol is None
+
+
+def _counting_group_by_source(monkeypatch) -> list:
+    """Count the calls of models.group_by_source, which by_source builds its index with."""
+    calls = []
+    group = models.group_by_source
+
+    def counted(actions):
+        calls.append(actions)
+        return group(actions)
+
+    monkeypatch.setattr(models, "group_by_source", counted)
+    return calls
+
+
+def test_by_source_is_built_once_per_instance(monkeypatch):
+    calls = _counting_group_by_source(monkeypatch)
+    machine = load_machine("swap")
+    system = Prvass(("s", "t"), ("a",), (Action("s", (push("a"),), "t"), Action("t", (INC,), "s")))
+    for model in (machine, system):
+        first = model.by_source
+        assert model.by_source is first
+        assert calls == [model.actions]
+        calls.clear()
+    # a copy with other actions regroups its own, once
+    copy = dataclasses.replace(system, actions=system.actions[1:])
+    assert copy.by_source == {"t": system.actions[1:]} and copy.by_source is copy.by_source
+    assert system.by_source == {"s": system.actions[:1], "t": system.actions[1:]}
+    assert calls == [copy.actions]
+
+
+def test_compiled_searches_read_the_index_compile_machine_assembled(monkeypatch):
+    calls = _counting_group_by_source(monkeypatch)
+    read = []
+    trim = explorer._trim
+
+    def recorded(by_source, start, target):
+        read.append(by_source)
+        return trim(by_source, start, target)
+
+    monkeypatch.setattr(explorer, "_trim", recorded)
+    compiled = compile_machine(load_machine("inc-dec"))
+    assembled = vars(compiled.system)["by_source"]
+    assert compiled.system.by_source is assembled
+    start = Configuration(compiled.start, (), 0)
+    assert explorer.bounded_cover(compiled.system, start, compiled.cover_target, explorer.Bounds()).outcome == "covered"
+    assert len(read) == 1 and read[0] is assembled
+    assert calls == []
