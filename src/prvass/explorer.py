@@ -18,17 +18,22 @@ walks and the expansions read the model's by_source, its actions grouped by
 source state, which each model builds once and every search of it shares; a
 compiled system gets it from compile_machine, merged from the groupings of
 its cached pieces, so no search regroups the backward gadgets that every
-compile shares.  Searches are breadth-first with a visited set keyed on the
-full configuration, which makes witnesses minimal in action count and
-results deterministic.  A stack-and-counter configuration is keyed by a
-(state, stack node, counter) triple whose stack is hash-consed, and a
-two-counter configuration by a plain (state, counter 0, counter 1) triple;
-either is decoded back into a Configuration or a MinskyConfig only where a
-caller sees it, and either has its state as its first item, which is how a
-caller reads the state without decoding.  Each model family hands the
-search core one Family record, its start key and its hooks by name; the
-core handles keys alone: it records each visited key's parent key, and the
-actions of a witness are recovered only once the witness is found.
+compile shares.  A stack-and-counter system also keeps, in its effect_rows,
+the normalised actions of each state that a search of it has expanded, so
+a system searched many times, as a gadget is by its contract check,
+normalises each state once; each search filters those rows by its own
+trim and binds them to its own stack trie.  Searches are breadth-first
+with a visited set keyed on the full configuration, which makes witnesses
+minimal in action count and results deterministic.  A stack-and-counter
+configuration is keyed by a (state, stack node, counter) triple whose
+stack is hash-consed, and a two-counter configuration by a plain (state,
+counter 0, counter 1) triple; either is decoded back into a Configuration
+or a MinskyConfig only where a caller sees it, and either has its state as
+its first item, which is how a caller reads the state without decoding.
+Each model family hands the search core one Family record, its start key
+and its hooks by name; the core handles keys alone: it records each
+visited key's parent key, and the actions of a witness are recovered only
+once the witness is found.
 """
 
 from __future__ import annotations
@@ -73,9 +78,10 @@ class Bounds:
     max_visited: int = 1_000_000
 
     def __post_init__(self) -> None:
-        for name in ("max_steps", "max_stack", "max_counter", "max_visited"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        if min(self.max_steps, self.max_stack, self.max_counter, self.max_visited) <= 0:
+            for name in ("max_steps", "max_stack", "max_counter", "max_visited"):
+                if getattr(self, name) <= 0:
+                    raise ValueError(f"{name} must be strictly positive")
 
     def doubled(self) -> "Bounds":
         return Bounds(
@@ -83,8 +89,7 @@ class Bounds:
         )
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     visited: int
     frontier_peak: int
     elapsed: float
@@ -98,8 +103,7 @@ class Trace:
     steps: tuple
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     outcome: str
     trace: Trace | None
     stats: SearchStats
@@ -172,29 +176,41 @@ def _trim(by_source: dict, start: str, target: str) -> set:
     return live
 
 
-def _prvass_family(start: Configuration, b: Bounds, by_source: dict, live: set, target: str | None):
+def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set, target: str | None):
     """The flat search of a stack-and-counter system.
 
     A search key is the triple (state, stack node, counter), a target when
     its state is target.  Stacks are hash-consed in a trie of (parent,
     symbol) nodes with integer ids, node 0 being the empty stack, so equal
     stacks share one node: a push is one dict lookup, a pop one list read,
-    and a key hashes in constant time.
+    and a key hashes in constant time.  The start stack is the trie's first
+    chain, laid in one pass: node i + 1 is the start's i-th symbol pushed
+    on node i, and each of those links is registered like any push, so a
+    later push onto a prefix of the start finds the start's own node.
     A state's actions, grouped by source in by_source, are normalised by
-    _effect the first time the state is expanded, so a search that visits a
-    few states pays for those alone.  An action into a state outside live
-    is skipped before it is normalised, so no key ever reaches such a state.
+    _effect once per system: the first search of the system that expands
+    the state stores its row of (action, target, pops, pushes, need,
+    reset, delta) entries in the system's effect_rows, dead actions left
+    out, and every later search reads that row.  Each search then keeps
+    the entries into live states, binds each pushed symbol to its own
+    trie's child dict, and keeps the result in its effects, so no key ever
+    reaches a state outside live and no trie is shared between searches.
     expand computes each successor's stack height and counter anyway, so it
     applies the stack and counter caps itself and gives None for a dropped
     successor.  expand(key, compiled) fires the given compiled effects
     instead of the key state's own; each entry of effects starts with its
     action, which is what _family's label relies on.
     """
+    by_source, rows = sys.by_source, sys.effect_rows
     effects: dict = {}
-    parent = [0]
-    top = [None]
-    height = [0]
+    stack = start.stack
+    node = len(stack)
+    parent = [0, *range(node)]
+    top = [None, *stack]
+    height = list(range(node + 1))
     children: dict = {}  # symbol -> {node: node with symbol pushed on it}
+    for n, symbol in enumerate(stack):
+        children.setdefault(symbol, {})[n] = n + 1
 
     def grow(node, symbol, kids):
         child = kids[node] = len(parent)
@@ -204,19 +220,20 @@ def _prvass_family(start: Configuration, b: Bounds, by_source: dict, live: set, 
         return child
 
     def compile_state(state):
-        compiled = []
-        for action in by_source.get(state, ()):
-            if action.target in live and (effect := _effect(action.body)) is not None:
-                pops, pushes, need, reset, delta = effect
-                pushes = tuple((symbol, children.setdefault(symbol, {})) for symbol in pushes)
-                compiled.append((action, action.target, pops, pushes, need, reset, delta))
-        effects[state] = compiled
+        row = rows.get(state)
+        if row is None:
+            row = rows[state] = tuple(
+                (action, action.target, *effect)
+                for action in by_source.get(state, ())
+                if (effect := _effect(action.body)) is not None
+            )
+        compiled = effects[state] = [
+            (action, target, pops, tuple((symbol, children.setdefault(symbol, {})) for symbol in pushes)
+             if pushes else (), need, reset, delta)
+            for action, target, pops, pushes, need, reset, delta in row
+            if target in live
+        ]
         return compiled
-
-    node = 0
-    for symbol in start.stack:
-        kids = children.setdefault(symbol, {})
-        node = kids.get(node) or grow(node, symbol, kids)
 
     max_stack, max_counter = b.max_stack, b.max_counter
 
@@ -256,7 +273,7 @@ def _prvass_family(start: Configuration, b: Bounds, by_source: dict, live: set, 
     return (start.state, node, start.counter), expand, effects, decode, lambda key: key[0] == target
 
 
-def _minsky_family(start: MinskyConfig, b: Bounds, by_source: dict, live: set, target: str | None):
+def _minsky_family(m: MinskyMachine, start: MinskyConfig, b: Bounds, live: set, target: str | None):
     """The flat search of a two-counter machine.
 
     A search key is the triple (state, counter 0, counter 1), a target when
@@ -269,6 +286,7 @@ def _minsky_family(start: MinskyConfig, b: Bounds, by_source: dict, live: set, t
     the key state's own; each entry of moves starts with its action, which
     is what _family's label relies on.
     """
+    by_source = m.by_source
     moves: dict = {}
 
     def compile_state(state):
@@ -353,18 +371,18 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None 
         if state is not None and state not in model.states:
             raise ValueError(f"{what} state {state!r} not in the system")
     if isinstance(model, Prvass):
-        for symbol in start.stack:
-            if symbol not in model.stack_alphabet:
-                raise ValueError(f"start stack symbol {symbol!r} not in the stack alphabet")
+        if not set(model.stack_alphabet).issuperset(start.stack):
+            for symbol in start.stack:
+                if symbol not in model.stack_alphabet:
+                    raise ValueError(f"start stack symbol {symbol!r} not in the stack alphabet")
         build = _prvass_family
         over_cap = len(start.stack) > b.max_stack or start.counter > b.max_counter
     else:
         build = _minsky_family
         over_cap = max(start.counters) > b.max_counter
-    by_source = model.by_source
-    live = set(model.states) if target is None else _trim(by_source, start.state, target)
+    live = set(model.states) if target is None else _trim(model.by_source, start.state, target)
     if live:
-        start_key, expand, table, decode, is_target = build(start, b, by_source, live, target)
+        start_key, expand, table, decode, is_target = build(model, start, b, live, target)
 
         def label(key, succ):
             return next(entry[0] for entry in table[key[0]] if expand(key, (entry,)) == [succ])
@@ -386,6 +404,7 @@ def _bfs(family: Family, b: Bounds) -> tuple[Verdict, dict]:
     successors is dropped as one past the visited budget would be.
     """
     start, expand, is_target = family.start, family.expand, family.is_target
+    max_visited, max_steps = b.max_visited, b.max_steps
     t0 = time.perf_counter()
     parents: dict = {start: None}
     layer = [start]
@@ -402,7 +421,7 @@ def _bfs(family: Family, b: Bounds) -> tuple[Verdict, dict]:
                 steps.reverse()
                 stats = SearchStats(len(parents), frontier_peak, time.perf_counter() - t0)
                 return Verdict(COVERED, Trace(family.decode(start), tuple(steps)), stats), parents
-        room = b.max_visited if depth < b.max_steps else 0
+        room = max_visited if depth < max_steps else 0
         next_layer = []
         for key in layer:
             for succ in expand(key):
@@ -414,7 +433,8 @@ def _bfs(family: Family, b: Bounds) -> tuple[Verdict, dict]:
                 parents[succ] = key
                 next_layer.append(succ)
         depth += 1
-        frontier_peak = max(frontier_peak, len(next_layer))
+        if len(next_layer) > frontier_peak:
+            frontier_peak = len(next_layer)
         layer = next_layer
     stats = SearchStats(len(parents), frontier_peak, time.perf_counter() - t0)
     return Verdict(BOUNDS_HIT if pruned else EXHAUSTED_NO_COVER, None, stats), parents

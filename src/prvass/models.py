@@ -125,6 +125,16 @@ class Prvass:
         """The actions grouped by source state, in declaration order, as tuples; built once per system."""
         return group_by_source(self.actions)
 
+    @_per_instance
+    def effect_rows(self) -> dict:
+        """The normalised actions of each state a search has expanded, by state; empty when built.
+
+        The explorer fills it: the first search of this system to expand a
+        state stores the state's row there, and every later search reads it.
+        A dataclasses.replace copy is a new instance, so its table starts empty.
+        """
+        return {}
+
 
 @dataclass(frozen=True)
 class Configuration:

@@ -35,7 +35,8 @@ from prvass.models import (
     push,
     successors,
 )
-from prvass.reduction import compile_machine
+from prvass.reduction import BACKWARD, BOTTOM, FORWARD, MARKER, UNARY, build_gadget, compile_machine
+from prvass.relations import ALPHABET
 
 from conftest import CORPUS_EXPECTED, SWEEP_BOUNDS, closure_configs, load_machine, small_machines
 
@@ -433,6 +434,32 @@ def test_visited_set_matches_naive_fixpoint():
         assert len(configs) == len(fixpoint)
 
 
+def test_hash_consing_holds_from_a_non_empty_start_stack():
+    # a contract start lays bot record hash a^m as the trie's first chain;
+    # a push onto any prefix of it must find the start's own node, or one
+    # configuration would get two keys
+    starts = []
+    tokens = [sym.token for sym in ALPHABET]
+    for i, sym in enumerate(ALPHABET):
+        other = tokens[(i + 1) % len(tokens)]
+        for direction in (FORWARD, BACKWARD):
+            g = build_gadget(sym, direction, ("g1", "g2", "g3"))
+            for m in range(13):
+                for record in ((), (sym.token,), (other,)):
+                    stack = (BOTTOM, *record, MARKER) + (UNARY,) * m
+                    starts.append((g.system, Configuration(g.entry, stack, 0)))
+    # s pops the a that p pushes back onto the start's prefix (a): two configurations, two keys
+    two = Prvass(("s", "p"), ("a",), (Action("s", (pop("a"),), "p"), Action("p", (push("a"),), "s")))
+    starts.append((two, Configuration("s", ("a", "a"), 0)))
+    for sys, start in starts:
+        reach = reachable_set(sys, start, GENEROUS)
+        assert reach.complete
+        configs = closure_configs(reach)
+        assert len(set(configs)) == len(configs), start
+        assert set(configs) == _naive_fixpoint(sys, start), start
+    assert len(reach.keys) == 2
+
+
 def test_flat_effects_match_the_reference_semantics():
     # every body of up to 4 instructions, fired from every stack of height
     # <= 3 over {a, b} and every counter 0-3: the flat expander's decoded
@@ -640,7 +667,22 @@ def test_differential_large_counters_is_inconclusive():
 
 
 def test_bounds_must_be_positive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^max_steps must be strictly positive$"):
         Bounds(0, 1, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^max_counter must be strictly positive$"):
         Bounds(1, 1, -3, 1)
+    # the first bad field in declaration order is the one named
+    with pytest.raises(ValueError, match="^max_steps must be strictly positive$"):
+        Bounds(0, 0, 1, 1)
+    with pytest.raises(ValueError, match="^max_counter must be strictly positive$"):
+        Bounds(1, 1, -3, 0)
+
+
+def test_a_start_stack_with_two_foreign_symbols_names_the_first():
+    sys = Prvass(("s",), ("a",), ())
+    for stack, first in ((("a", "zz", "a", "yy"), "zz"), (("yy", "zz"), "yy")):
+        start = Configuration("s", stack, 0)
+        for search in (lambda: reachable_set(sys, start, GENEROUS), lambda: bounded_cover(sys, start, "s", GENEROUS)):
+            with pytest.raises(ValueError) as exc:
+                search()
+            assert str(exc.value) == f"start stack symbol {first!r} not in the stack alphabet"

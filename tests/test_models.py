@@ -24,12 +24,12 @@ from prvass.models import (
 )
 from prvass.explorer import _effect
 from prvass.formats import ParseError, parse_minsky, parse_model_file, serialize_minsky, serialize_prvass
-from prvass.reduction import FORWARD, STACK_ALPHABET, build_gadget, compile_machine
+from prvass.reduction import FORWARD, STACK_ALPHABET, build_gadget, compile_machine, gadget_contract_set
 from prvass.relations import parse_delta_token
 
 import pytest
 
-from conftest import CORPUS_EXPECTED, load_machine
+from conftest import CORPUS_EXPECTED, expected_exit_set, load_machine
 
 
 def test_push_appends():
@@ -419,3 +419,67 @@ def test_compiled_searches_read_the_index_compile_machine_assembled(monkeypatch)
     assert explorer.bounded_cover(compiled.system, start, compiled.cover_target, explorer.Bounds()).outcome == "covered"
     assert len(read) == 1 and read[0] is assembled
     assert calls == []
+
+
+def _counting_effect(monkeypatch) -> list:
+    """Record the body of every _effect call the explorer makes."""
+    calls = []
+    effect = explorer._effect
+
+    def counted(body):
+        calls.append(body)
+        return effect(body)
+
+    monkeypatch.setattr(explorer, "_effect", counted)
+    return calls
+
+
+def test_effect_rows_hold_only_the_states_a_search_expanded(monkeypatch):
+    calls = _counting_effect(monkeypatch)
+    into_p, into_t = Action("s", (push("a"),), "p"), Action("p", (pop("a"),), "t")
+    dead = Action("p", (push("a"), pop("b")), "s")  # a pushed a is never popped as b
+    away = Action("u", (INC,), "s")  # u is never reached from s
+    system = Prvass(("s", "p", "t", "u"), ("a", "b"), (into_p, into_t, dead, away))
+    assert system.effect_rows == {}
+    start = Configuration("s", (), 0)
+    reach = explorer.reachable_set(system, start, explorer.Bounds())
+    assert [key[0] for key in reach.keys] == ["s", "p", "t"]
+    assert system.effect_rows == {
+        "s": ((into_p, "p", (), ("a",), 0, False, 0),),
+        "p": ((into_t, "t", ("a",), (), 0, False, 0),),
+        "t": (),
+    }
+    assert calls == [into_p.body, into_t.body, dead.body]
+    calls.clear()
+    # a later search of the same system reads the rows its states already have
+    assert explorer.bounded_cover(system, start, "t", explorer.Bounds()).outcome == "covered"
+    assert calls == []
+
+
+def test_a_second_contract_call_on_a_gadget_normalises_nothing(monkeypatch):
+    calls = _counting_effect(monkeypatch)
+    g = build_gadget(parse_delta_token("m2"), FORWARD, ("g1", "g2", "g3"))
+    first = gadget_contract_set(g, 3, ("d2",), 60)
+    assert calls
+    calls.clear()
+    assert gadget_contract_set(g, 3, ("d2",), 60) == first
+    assert gadget_contract_set(g, 5, (), 60) == expected_exit_set(g, 5, ())
+    assert calls == []
+
+
+def test_searches_toward_other_targets_match_searches_of_fresh_copies():
+    # the rows are shared by every search of a system, whatever its trim;
+    # each search filters them by its own, so reusing them changes nothing
+    compiled = compile_machine(load_machine("inc-dec"))
+    system = compiled.system
+    start = Configuration(compiled.start, (), 0)
+    bounds = explorer.Bounds(10_000, 48, 1000, 20_000)
+    gadget = next(iter(compiled.bookkeeping))
+    targets = (compiled.cover_target, "t", gadget.internal_states[0], None, compiled.cover_target)
+    for target in targets:
+        fresh = dataclasses.replace(system)
+        assert fresh.effect_rows == {}
+        got, want = (explorer._bfs(explorer._family(model, start, bounds, target), bounds) for model in (system, fresh))
+        assert list(got[1]) == list(want[1])
+        assert (got[0].outcome, got[0].trace, got[0].stats[:2]) == (want[0].outcome, want[0].trace, want[0].stats[:2])
+    assert len(system.effect_rows) > len(fresh.effect_rows)
