@@ -1,4 +1,4 @@
-"""Bounded exhaustive exploration, trace replay, and the differential harness.
+"""Bounded exhaustive exploration and the differential harness.
 
 Coverability of a target state and reachability of a target counter pair
 are both undecidable in general, so every search here is bounded and the
@@ -52,9 +52,9 @@ from .models import (
     MinskyConfig,
     MinskyMachine,
     Prvass,
-    minsky_successors,
-    successors,
+    Trace,
 )
+from .check import replay_failure_index, replay_trace  # re-exported: perfbench/tracing.py wraps them by these names
 from .reduction import compile_machine
 
 COVERED = "covered"
@@ -93,14 +93,6 @@ class SearchStats(NamedTuple):
     visited: int
     frontier_peak: int
     elapsed: float
-
-
-@dataclass(frozen=True)
-class Trace:
-    """A replayable witness: a start configuration and the fired steps."""
-
-    start: object
-    steps: tuple
 
 
 class Verdict(NamedTuple):
@@ -479,27 +471,6 @@ def reachable_set(sys: Prvass | MinskyMachine, start, b: Bounds) -> ReachableSet
     family = _family(sys, start, b)
     verdict, parents = _bfs(family, b)
     return ReachableSet(parents.keys(), family.decode, verdict.outcome == EXHAUSTED_NO_COVER, verdict.stats)
-
-
-def replay_trace(sys: Prvass | MinskyMachine, tr: Trace) -> bool:
-    """Whether every step of the trace is reproduced by the successor relation."""
-    return replay_failure_index(sys, tr) is None
-
-
-def replay_failure_index(sys: Prvass | MinskyMachine, tr: Trace) -> int | None:
-    """Index of the first step the successor relation cannot reproduce; None if all replay.
-
-    Steps whose action reference is absent (e.g. traces loaded from a file)
-    are accepted when any action produces the recorded configuration.
-    """
-    succ_fn = successors if isinstance(sys, Prvass) else minsky_successors
-    cur = tr.start
-    for i, (action, cfg) in enumerate(tr.steps):
-        candidates = succ_fn(sys, cur)
-        if not (any(c == cfg for _, c in candidates) if action is None else (action, cfg) in candidates):
-            return i
-        cur = cfg
-    return None
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ from .models import (
     DEC,
     INC,
     RESET,
+    Trace,
 )
-from .explorer import Trace
 
 
 class ParseError(ValueError):

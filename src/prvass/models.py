@@ -86,11 +86,11 @@ class _per_instance:
 
     Later reads find the stored value before the descriptor, as with
     functools.cached_property, and storing a value there first (as
-    compile_machine does) makes it the one read.  by_source does not use
-    cached_property because in Python 3.10 and 3.11 that takes a lock on
-    every first read, which costs more than grouping a small machine's
-    actions, and every freshly parsed machine reads by_source once per
-    check; 3.12's cached_property has no lock and works as this does.
+    compile_machine does) makes it the one read.  The package's caches do
+    not use cached_property because in Python 3.10 and 3.11 that takes a
+    lock on every first read, which costs more than grouping a small
+    machine's actions, and every freshly parsed machine reads by_source
+    once per check; 3.12's cached_property has no lock and works as this does.
     """
 
     def __init__(self, method) -> None:
@@ -188,6 +188,14 @@ class MinskyConfig:
     def __post_init__(self) -> None:
         if self.counters[0] < 0 or self.counters[1] < 0:
             raise ValueError(f"negative counter in configuration: {self.counters}")
+
+
+@dataclass(frozen=True)
+class Trace:
+    """A replayable witness: a start configuration and the fired steps, each (action or None, configuration)."""
+
+    start: Configuration | MinskyConfig
+    steps: tuple[tuple[Action | MinskyAction | None, Configuration | MinskyConfig], ...]
 
 
 StackCounter = tuple[tuple[str, ...], int]

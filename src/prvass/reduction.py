@@ -36,7 +36,7 @@ system's by_source index is merged from them rather than regrouped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .models import (
     Action,
@@ -48,6 +48,7 @@ from .models import (
     MinskyMachine,
     Prvass,
     RESET,
+    _per_instance,
     group_by_source,
     pop,
     push,
@@ -89,7 +90,7 @@ class Gadget:
         # hashing them spares hashing every action body; __eq__ stays field-wise
         return hash((self.entry, self.exit, self.direction))
 
-    @cached_property
+    @_per_instance
     def system(self) -> Prvass:
         """The gadget alone as a stack system, which gadget_contract_set searches; built once per gadget."""
         return Prvass((self.entry, *self.internal_states, self.exit), STACK_ALPHABET, self.actions)

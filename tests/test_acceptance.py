@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from prvass.check import replay_trace
 from prvass.cli import main
 from prvass.explorer import (
     BOUNDS_HIT,
@@ -20,7 +21,6 @@ from prvass.explorer import (
     bounded_cover,
     minsky_bounded_reach,
     reachable_set,
-    replay_trace,
 )
 from prvass.models import Configuration
 from prvass.formats import parse_minsky, serialize_minsky

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from prvass import cli, explorer
+from prvass.check import replay_trace
 from prvass.cli import main
-from prvass.explorer import Bounds, differential_check, replay_trace
+from prvass.explorer import Bounds, differential_check
 from prvass.formats import parse_model_file, parse_trace, system_digest
 from prvass.reduction import FORWARD, build_gadget, gadget_contract_set
 from prvass.relations import TwoApproximationsReport, parse_delta_token

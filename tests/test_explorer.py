@@ -5,20 +5,18 @@ from dataclasses import replace
 import pytest
 
 from prvass import explorer
+from prvass.check import replay_trace
 from prvass.explorer import (
     BOUNDS_HIT,
     Bounds,
     COVERED,
     EXHAUSTED_NO_COVER,
-    Trace,
     _bfs,
     _family,
     bounded_cover,
     differential_check,
     minsky_bounded_reach,
     reachable_set,
-    replay_failure_index,
-    replay_trace,
 )
 from prvass.models import (
     Action,
@@ -116,43 +114,6 @@ def test_minsky_target_is_the_exact_zero_config():
     assert verdict.outcome == EXHAUSTED_NO_COVER
     reach = reachable_set(m, MinskyConfig("s", (0, 0)), GENEROUS)
     assert MinskyConfig("t", (1, 0)) in closure_configs(reach)
-
-
-def test_replay_rejects_perturbed_counter():
-    compiled = compile_machine(load_machine("inc-dec"))
-    verdict = bounded_cover(
-        compiled.system, Configuration(compiled.start, (), 0), compiled.cover_target, GENEROUS
-    )
-    assert replay_trace(compiled.system, verdict.trace)
-    steps = list(verdict.trace.steps)
-    action, cfg = steps[5]
-    steps[5] = (action, Configuration(cfg.state, cfg.stack, cfg.counter + 1))
-    broken = Trace(verdict.trace.start, tuple(steps))
-    assert not replay_trace(compiled.system, broken)
-    assert replay_failure_index(compiled.system, broken) == 5
-
-
-def test_replay_checks_the_named_action_as_well_as_the_configuration():
-    first = Action("s", (INC,), "t")
-    right = Action("t", (), "u")
-    other = Action("t", (INC,), "u")
-    sys = Prvass(("s", "t", "u"), ("x",), (first, right, other))
-    start, mid, end = Configuration("s", (), 0), Configuration("t", (), 1), Configuration("u", (), 1)
-    assert replay_failure_index(sys, Trace(start, ((first, mid), (right, end)))) is None
-    assert replay_failure_index(sys, Trace(start, ((first, mid), (None, end)))) is None
-    # other fires at mid but reaches (u, 2); the second is not in the system but has right's effect
-    for wrong in (other, Action("t", (INC, DEC), "u")):
-        assert replay_failure_index(sys, Trace(start, ((first, mid), (wrong, end)))) == 1
-    # both zero tests reach (t, 0, 0), but the machine has only the one on counter 1
-    m = MinskyMachine(("s", "t"), (MinskyAction("s", 1, "zero", "t"),), "s", "t")
-    start, end = MinskyConfig("s", (0, 0)), MinskyConfig("t", (0, 0))
-    assert replay_failure_index(m, Trace(start, ((m.actions[0], end),))) is None
-    assert replay_failure_index(m, Trace(start, ((MinskyAction("s", 0, "zero", "t"), end),))) == 0
-
-
-def test_empty_trace_replays():
-    sys = Prvass(("s",), ("a",), ())
-    assert replay_trace(sys, Trace(Configuration("s", (), 0), ()))
 
 
 # NEVER_FIRES pops a symbol that the systems below never push: its action

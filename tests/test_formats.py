@@ -1,6 +1,7 @@
 import pytest
 
-from prvass.explorer import Bounds, bounded_cover, replay_trace
+from prvass.check import replay_trace
+from prvass.explorer import Bounds, bounded_cover
 from prvass.models import (
     Action,
     Configuration,

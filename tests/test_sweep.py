@@ -21,7 +21,8 @@ from collections import Counter
 import pytest
 
 from prvass import explorer
-from prvass.explorer import BOUNDS_HIT, differential_check, replay_trace
+from prvass.check import replay_trace
+from prvass.explorer import BOUNDS_HIT, differential_check
 from prvass.formats import parse_minsky, serialize_prvass
 from prvass.reduction import compile_machine
 from prvass.relations import ALPHABET

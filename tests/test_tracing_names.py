@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from prvass import check, explorer
 from prvass.explorer import Bounds, reachable_set
 from prvass.models import MinskyConfig
 
@@ -63,3 +64,23 @@ def test_workload_outputs_match_their_answer_keys(monkeypatch, name):
     workload.check(inputs, out, ledger, {})
     assert ledger.failed == 0, ledger.messages
     assert ledger.attempted > 0
+
+
+def test_tracer_wraps_the_replay_that_explorer_re_exports(monkeypatch):
+    tracing = _load(monkeypatch, "tracing")
+    machine = load_machine("inc-dec")
+    witness = explorer.minsky_bounded_reach(machine, Bounds()).trace
+    assert witness.steps
+    originals = (check.replay_trace, check.replay_failure_index)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert explorer.replay_trace(machine, witness) is True
+    finally:
+        tracer.uninstall()
+    outer, inner = tracer.spans
+    assert (outer[1], outer[4]) == ("explorer.replay_trace", None)
+    assert (inner[1], inner[4]) == ("explorer.replay_failure_index", outer[0])
+    # the nested call is in the replay group too, so its steps count once
+    assert tracer.metrics()["explorer.replay_steps"] == len(witness.steps)
+    assert check.replay_trace is originals[0] and check.replay_failure_index is originals[1]
