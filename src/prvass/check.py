@@ -2,8 +2,10 @@
 
 This module imports models alone, so it shares no code with the flat
 search in explorer or the compiler in reduction: a witness it accepts is
-checked by code that cannot share their bugs.  tests/test_check.py holds
-it, and formats, to that fence.
+checked by code that cannot share their bugs.  Of models it replays only
+on successors and minsky_successors, and never uses the normaliser whose
+effects the search fires (_effect, read as Action.effect).
+tests/test_check.py holds it, and formats, to that fence.
 """
 
 from __future__ import annotations

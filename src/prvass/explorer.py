@@ -18,11 +18,11 @@ walks and the expansions read the model's by_source, its actions grouped by
 source state, which each model builds once and every search of it shares; a
 compiled system gets it from compile_machine, merged from the groupings of
 its cached pieces, so no search regroups the backward gadgets that every
-compile shares.  A stack-and-counter system also keeps, in its effect_rows,
-the normalised actions of each state that a search of it has expanded, so
-a system searched many times, as a gadget is by its contract check,
-normalises each state once; each search filters those rows by its own
-trim and binds them to its own stack trie.  Searches are breadth-first
+compile shares.  A stack-and-counter search fires each action's effect,
+its body normalised by models once per action, which every search of the
+system and every compile that shares the action reads; each search
+filters the actions by its own trim, binds their pushes to its own stack
+trie, and writes nothing into the model.  Searches are breadth-first
 with a visited set keyed on the full configuration, which makes witnesses
 minimal in action count and results deterministic.  A stack-and-counter
 configuration is keyed by a (state, stack node, counter) triple whose
@@ -43,17 +43,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .models import (
-    DEC_KIND,
-    INC_KIND,
-    POP,
-    PUSH,
-    Configuration,
-    MinskyConfig,
-    MinskyMachine,
-    Prvass,
-    Trace,
-)
+from .models import Configuration, MinskyConfig, MinskyMachine, Prvass, Trace
 from .check import replay_failure_index, replay_trace  # re-exported: perfbench/tracing.py wraps them by these names
 from .reduction import compile_machine
 
@@ -101,42 +91,6 @@ class Verdict(NamedTuple):
     stats: SearchStats
 
 
-def _effect(body):
-    """The normalised effect of an action body, or None when no configuration can fire it.
-
-    Stack and counter instructions act on independent parts of a
-    configuration, so a body factorises into (pops, pushes, need, reset,
-    delta): it fires when the stack top reads pops (top first) and the
-    counter is at least need; it replaces the popped symbols by pushes
-    (bottom first) and sets the counter to delta after a reset, or adds
-    delta to it otherwise.  A push of x then a pop of y cancels when x == y
-    and is dead otherwise; so is a decrement below zero after a reset.
-    Instruction checks its kind when built, so the last branch is a reset.
-    """
-    pops, pushes = [], []
-    need, reset, delta = 0, False, 0
-    for instr in body:
-        kind = instr.kind
-        if kind == PUSH:
-            pushes.append(instr.symbol)
-        elif kind == POP:
-            if not pushes:
-                pops.append(instr.symbol)
-            elif pushes.pop() != instr.symbol:
-                return None
-        elif kind == INC_KIND:
-            delta += 1
-        elif kind == DEC_KIND:
-            if not reset:
-                need = max(need, 1 - delta)
-            elif delta < 1:
-                return None
-            delta -= 1
-        else:  # reset
-            reset, delta = True, 0
-    return tuple(pops), tuple(pushes), need, reset, delta
-
-
 def _trim(by_source: dict, start: str, target: str) -> set:
     """The states on a control path from start to target.
 
@@ -179,21 +133,20 @@ def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set, targ
     chain, laid in one pass: node i + 1 is the start's i-th symbol pushed
     on node i, and each of those links is registered like any push, so a
     later push onto a prefix of the start finds the start's own node.
-    A state's actions, grouped by source in by_source, are normalised by
-    _effect once per system: the first search of the system that expands
-    the state stores its row of (action, target, pops, pushes, need,
-    reset, delta) entries in the system's effect_rows, dead actions left
-    out, and every later search reads that row.  Each search then keeps
-    the entries into live states, binds each pushed symbol to its own
-    trie's child dict, and keeps the result in its effects, so no key ever
-    reaches a state outside live and no trie is shared between searches.
+    The first time a state is expanded, its actions, grouped by source in
+    by_source, are compiled into (action, target, pops, pushes, need,
+    reset, delta) entries from each action's effect: an action into a
+    state outside live, or one that no configuration fires, is left out,
+    and each pushed symbol is bound to this trie's child dict.  The entries
+    go in this search's effects, so no key ever reaches a state outside
+    live and no trie is shared between searches.
     expand computes each successor's stack height and counter anyway, so it
     applies the stack and counter caps itself and gives None for a dropped
     successor.  expand(key, compiled) fires the given compiled effects
     instead of the key state's own; each entry of effects starts with its
     action, which is what _family's label relies on.
     """
-    by_source, rows = sys.by_source, sys.effect_rows
+    by_source = sys.by_source
     effects: dict = {}
     stack = start.stack
     node = len(stack)
@@ -212,19 +165,13 @@ def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set, targ
         return child
 
     def compile_state(state):
-        row = rows.get(state)
-        if row is None:
-            row = rows[state] = tuple(
-                (action, action.target, *effect)
-                for action in by_source.get(state, ())
-                if (effect := _effect(action.body)) is not None
-            )
-        compiled = effects[state] = [
-            (action, target, pops, tuple((symbol, children.setdefault(symbol, {})) for symbol in pushes)
-             if pushes else (), need, reset, delta)
-            for action, target, pops, pushes, need, reset, delta in row
-            if target in live
-        ]
+        compiled = effects[state] = []
+        for action in by_source.get(state, ()):
+            if action.target in live and (effect := action.effect) is not None:
+                pops, pushes, need, reset, delta = effect
+                if pushes:
+                    pushes = tuple((symbol, children.setdefault(symbol, {})) for symbol in pushes)
+                compiled.append((action, action.target, pops, pushes, need, reset, delta))
         return compiled
 
     max_stack, max_counter = b.max_stack, b.max_counter

@@ -62,31 +62,15 @@ DEC = Instruction(DEC_KIND)
 RESET = Instruction(RESET_KIND)
 
 
-@dataclass(frozen=True)
-class Action:
-    """A control transition whose instruction body fires atomically."""
-
-    source: str
-    body: tuple[Instruction, ...]
-    target: str
-
-
-def group_by_source(actions) -> dict:
-    """The actions grouped by source state, in declaration order, as tuples."""
-    groups: dict = {}
-    for action in actions:
-        groups.setdefault(action.source, []).append(action)
-    for source, group in groups.items():
-        groups[source] = tuple(group)
-    return groups
-
-
 class _per_instance:
     """A method's value, computed on the first read and stored in the instance dict.
 
     Later reads find the stored value before the descriptor, as with
     functools.cached_property, and storing a value there first (as
-    compile_machine does) makes it the one read.  The package's caches do
+    compile_machine does) makes it the one read.  It has three users, each
+    a pure function of its frozen instance's fields: by_source on a system
+    or a machine, Action.effect and Gadget.system; so a cached value is
+    never stale, and no search writes into a model.  The package's caches do
     not use cached_property because in Python 3.10 and 3.11 that takes a
     lock on every first read, which costs more than grouping a small
     machine's actions, and every freshly parsed machine reads by_source
@@ -108,6 +92,33 @@ class _per_instance:
 
 
 @dataclass(frozen=True)
+class Action:
+    """A control transition whose instruction body fires atomically."""
+
+    source: str
+    body: tuple[Instruction, ...]
+    target: str
+
+    @_per_instance
+    def effect(self) -> tuple | None:
+        """The body's normalised effect, _effect(body), which the flat search fires; built once per action.
+
+        Every compile that shares an action through a cached piece shares its effect too.
+        """
+        return _effect(self.body)
+
+
+def group_by_source(actions) -> dict:
+    """The actions grouped by source state, in declaration order, as tuples."""
+    groups: dict = {}
+    for action in actions:
+        groups.setdefault(action.source, []).append(action)
+    for source, group in groups.items():
+        groups[source] = tuple(group)
+    return groups
+
+
+@dataclass(frozen=True)
 class Prvass:
     """A stack-and-counter system: states, stack alphabet, actions, and an optional initial state.
 
@@ -124,16 +135,6 @@ class Prvass:
     def by_source(self) -> dict:
         """The actions grouped by source state, in declaration order, as tuples; built once per system."""
         return group_by_source(self.actions)
-
-    @_per_instance
-    def effect_rows(self) -> dict:
-        """The normalised actions of each state a search has expanded, by state; empty when built.
-
-        The explorer fills it: the first search of this system to expand a
-        state stores the state's row there, and every later search reads it.
-        A dataclasses.replace copy is a new instance, so its table starts empty.
-        """
-        return {}
 
 
 @dataclass(frozen=True)
@@ -233,6 +234,42 @@ def step_sequence(sc: StackCounter, body: tuple[Instruction, ...]) -> StackCount
         if cur is None:
             return None
     return cur
+
+
+def _effect(body):
+    """The normalised effect of an action body, or None when no configuration can fire it.
+
+    Stack and counter instructions act on independent parts of a
+    configuration, so a body factorises into (pops, pushes, need, reset,
+    delta): it fires when the stack top reads pops (top first) and the
+    counter is at least need; it replaces the popped symbols by pushes
+    (bottom first) and sets the counter to delta after a reset, or adds
+    delta to it otherwise.  A push of x then a pop of y cancels when x == y
+    and is dead otherwise; so is a decrement below zero after a reset.
+    Instruction checks its kind when built, so the last branch is a reset.
+    """
+    pops, pushes = [], []
+    need, reset, delta = 0, False, 0
+    for instr in body:
+        kind = instr.kind
+        if kind == PUSH:
+            pushes.append(instr.symbol)
+        elif kind == POP:
+            if not pushes:
+                pops.append(instr.symbol)
+            elif pushes.pop() != instr.symbol:
+                return None
+        elif kind == INC_KIND:
+            delta += 1
+        elif kind == DEC_KIND:
+            if not reset:
+                need = max(need, 1 - delta)
+            elif delta < 1:
+                return None
+            delta -= 1
+        else:  # reset
+            reset, delta = True, 0
+    return tuple(pops), tuple(pushes), need, reset, delta
 
 
 def successors(sys: Prvass, cfg: Configuration) -> list[tuple[Action, Configuration]]:

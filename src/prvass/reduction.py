@@ -30,7 +30,10 @@ per (symbol, prefix, colliding states, source, target), the gadget with both
 glue actions; and the tail per (target, replay, cover, back- states), the
 equals-one check, the six backward gadgets with their glue and the final
 action.  Each piece carries its actions grouped by source, so the compiled
-system's by_source index is merged from them rather than regrouped.
+system's by_source index is merged from them rather than regrouped, and
+every compile that shares a piece shares its actions, so the normalised
+effect that each action caches is built once in the process, not once per
+compile.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 check.py is worth something only if it shares no code with the search or
 the compiler, so a fence follows the prvass imports of check.py and of
 formats.py with ast, those inside function bodies included, and fails if
-either reaches explorer or reduction.
+either reaches explorer or reduction.  The normaliser whose effects the
+search fires sits in models, so a second fence fails if check.py names it
+or reads an action's effect.
 """
 
 import ast
@@ -113,3 +115,28 @@ def test_fence_walker_sees_imports_inside_function_bodies():
 def test_checker_and_parsers_reach_neither_search_nor_compiler(module):
     closure = _import_closure(module)
     assert not closure & {"explorer", "reduction"}, sorted(closure)
+
+
+def _names(module: str) -> set:
+    """Every name, attribute, imported name and string constant in a module's source."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)  # getattr(action, "effect") reads it too; a docstring is never the bare name
+    return found
+
+
+def test_fence_walker_sees_the_search_read_effects():
+    assert "effect" in _names("explorer")
+    assert "_effect" in _names("models")
+
+
+def test_checker_never_uses_the_normaliser_the_search_fires():
+    assert not _names("check") & {"_effect", "effect"}

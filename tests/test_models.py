@@ -14,6 +14,8 @@ from prvass.models import (
     MinskyMachine,
     Prvass,
     RESET,
+    _effect,
+    group_by_source,
     minsky_successors,
     pop,
     push,
@@ -22,9 +24,8 @@ from prvass.models import (
     successors,
     validate,
 )
-from prvass.explorer import _effect
 from prvass.formats import ParseError, parse_minsky, parse_model_file, serialize_minsky, serialize_prvass
-from prvass.reduction import FORWARD, STACK_ALPHABET, build_gadget, compile_machine, gadget_contract_set
+from prvass.reduction import FORWARD, STACK_ALPHABET, Gadget, build_gadget, compile_machine, gadget_contract_set
 from prvass.relations import parse_delta_token
 
 import pytest
@@ -238,7 +239,7 @@ def test_validate_rejects_what_is_not_a_model():
             "unknown counter op: 'warp'",
         ),
     ],
-    ids=["step_instruction", "explorer-effect", "minsky_successors"],
+    ids=["step_instruction", "models-effect", "minsky_successors"],
 )
 def test_an_unknown_kind_or_op_is_a_value_error(step, message):
     # the ill-formed argument raises when it is built, so the step never sees it
@@ -422,38 +423,45 @@ def test_compiled_searches_read_the_index_compile_machine_assembled(monkeypatch)
 
 
 def _counting_effect(monkeypatch) -> list:
-    """Record the body of every _effect call the explorer makes."""
+    """Record the body of every models._effect call, which Action.effect builds its value with."""
     calls = []
-    effect = explorer._effect
+    effect = models._effect
 
     def counted(body):
         calls.append(body)
         return effect(body)
 
-    monkeypatch.setattr(explorer, "_effect", counted)
+    monkeypatch.setattr(models, "_effect", counted)
     return calls
 
 
-def test_effect_rows_hold_only_the_states_a_search_expanded(monkeypatch):
+def _with_effect(actions) -> list:
+    """The actions whose effect has been built, in order."""
+    return [action for action in actions if "effect" in vars(action)]
+
+
+def test_effects_are_built_only_for_actions_out_of_expanded_states_into_the_trim(monkeypatch):
     calls = _counting_effect(monkeypatch)
     into_p, into_t = Action("s", (push("a"),), "p"), Action("p", (pop("a"),), "t")
     dead = Action("p", (push("a"), pop("b")), "s")  # a pushed a is never popped as b
+    aside = Action("p", (INC,), "v")  # v is a dead end, off every path to t
     away = Action("u", (INC,), "s")  # u is never reached from s
-    system = Prvass(("s", "p", "t", "u"), ("a", "b"), (into_p, into_t, dead, away))
-    assert system.effect_rows == {}
+    system = Prvass(("s", "p", "t", "u", "v"), ("a", "b"), (into_p, into_t, dead, aside, away))
     start = Configuration("s", (), 0)
-    reach = explorer.reachable_set(system, start, explorer.Bounds())
-    assert [key[0] for key in reach.keys] == ["s", "p", "t"]
-    assert system.effect_rows == {
-        "s": ((into_p, "p", (), ("a",), 0, False, 0),),
-        "p": ((into_t, "t", ("a",), (), 0, False, 0),),
-        "t": (),
-    }
+    # the cover search expands s and p, and finds t in the layer after p
+    assert explorer.bounded_cover(system, start, "t", explorer.Bounds()).outcome == "covered"
+    assert _with_effect(system.actions) == [into_p, into_t, dead]
+    assert (into_p.effect, into_t.effect, dead.effect) == (((), ("a",), 0, False, 0), (("a",), (), 0, False, 0), None)
     assert calls == [into_p.body, into_t.body, dead.body]
     calls.clear()
-    # a later search of the same system reads the rows its states already have
+    # a later search of the same system reads the effects its actions already have
     assert explorer.bounded_cover(system, start, "t", explorer.Bounds()).outcome == "covered"
     assert calls == []
+    # a closure has no trim, so it also builds the effect of the action into v, and only it
+    reach = explorer.reachable_set(system, start, explorer.Bounds())
+    assert [key[0] for key in reach.keys] == ["s", "p", "t", "v"]
+    assert _with_effect(system.actions) == [into_p, into_t, dead, aside]
+    assert calls == [aside.body]
 
 
 def test_a_second_contract_call_on_a_gadget_normalises_nothing(monkeypatch):
@@ -467,19 +475,78 @@ def test_a_second_contract_call_on_a_gadget_normalises_nothing(monkeypatch):
     assert calls == []
 
 
+def test_a_compile_that_reuses_cached_pieces_searches_without_normalising(monkeypatch, clear_compile_caches):
+    calls = _counting_effect(monkeypatch)
+    first = load_machine("inc-dec")
+    # another machine: an extra state that no action names, so its compile finds every piece the first built
+    second = dataclasses.replace(first, states=(*first.states, "x"))
+    bounds = explorer.Bounds(10_000, 48, 1000, 20_000)
+    assert explorer.differential_check(first, bounds, bounds).status == "agree"
+    assert calls
+    calls.clear()
+    report = explorer.differential_check(second, bounds, bounds)
+    assert report.status == "agree" and report.prvass_verdict.stats.visited > 1
+    assert "x" in report.compiled.system.states
+    assert calls == []
+
+
 def test_searches_toward_other_targets_match_searches_of_fresh_copies():
-    # the rows are shared by every search of a system, whatever its trim;
-    # each search filters them by its own, so reusing them changes nothing
+    # the effects are shared by every search of a system, whatever its trim;
+    # each search filters the actions by its own, so reusing them changes nothing
     compiled = compile_machine(load_machine("inc-dec"))
     system = compiled.system
     start = Configuration(compiled.start, (), 0)
     bounds = explorer.Bounds(10_000, 48, 1000, 20_000)
     gadget = next(iter(compiled.bookkeeping))
     targets = (compiled.cover_target, "t", gadget.internal_states[0], None, compiled.cover_target)
+    built = []  # per copy, the positions of the actions whose effect its search built
     for target in targets:
-        fresh = dataclasses.replace(system)
-        assert fresh.effect_rows == {}
+        # a dataclasses.replace copy of an action is a new instance, so it has no effect yet
+        fresh = dataclasses.replace(system, actions=tuple(dataclasses.replace(a) for a in system.actions))
+        assert _with_effect(fresh.actions) == []
         got, want = (explorer._bfs(explorer._family(model, start, bounds, target), bounds) for model in (system, fresh))
         assert list(got[1]) == list(want[1])
         assert (got[0].outcome, got[0].trace, got[0].stats[:2]) == (want[0].outcome, want[0].trace, want[0].stats[:2])
-    assert len(system.effect_rows) > len(fresh.effect_rows)
+        built.append({i for i, action in enumerate(fresh.actions) if "effect" in vars(action)})
+    # the trims differ, so the copies built different effects, and the shared actions hold them all
+    assert len(set(map(len, built))) > 1
+    assert {i for i, action in enumerate(system.actions) if "effect" in vars(action)} >= set().union(*built)
+
+
+# the caches each model type may hold beside its fields, each a pure function of the fields
+_DERIVED = {
+    Prvass: {"by_source": lambda sys: group_by_source(sys.actions)},
+    MinskyMachine: {"by_source": lambda m: group_by_source(m.actions)},
+    Action: {"effect": lambda action: _effect(action.body)},
+    MinskyAction: {},
+    Gadget: {"system": lambda g: Prvass((g.entry, *g.internal_states, g.exit), STACK_ALPHABET, g.actions)},
+}
+
+
+def _assert_holds_only_fields_and_derived_caches(obj):
+    derived = _DERIVED[type(obj)]
+    fields = {f.name for f in dataclasses.fields(obj)}
+    extra = set(vars(obj)) - fields
+    assert extra <= set(derived), (obj, extra)
+    for name in extra:
+        assert vars(obj)[name] == derived[name](obj), (obj, name)
+
+
+def test_no_search_adds_state_to_a_model():
+    bounds = explorer.Bounds(10_000, 48, 1000, 20_000)
+    machine = load_machine("swap")
+    report = explorer.differential_check(machine, bounds, bounds)
+    gadget = build_gadget(parse_delta_token("t3"), FORWARD, ("g1", "g2", "g3"))
+    assert gadget_contract_set(gadget, 6, ("m2",), 60) == expected_exit_set(gadget, 6, ("m2",))
+    closed = Prvass(("s", "p"), ("a",), (Action("s", (push("a"),), "p"), Action("p", (pop("a"), RESET), "s")))
+    assert explorer.reachable_set(closed, Configuration("s", (), 0), bounds).complete
+    assert explorer.reachable_set(machine, MinskyConfig(machine.source, (0, 0)), bounds).stats.visited > 1
+    gadgets = [*report.compiled.bookkeeping, gadget]
+    models_seen = [machine, report.compiled.system, closed, *gadgets, *(vars(g).get("system") for g in gadgets)]
+    objects = [*filter(None, models_seen)]
+    objects += [action for model in objects for action in model.actions]
+    assert {type(obj) for obj in objects} == set(_DERIVED)
+    for obj in objects:
+        _assert_holds_only_fields_and_derived_caches(obj)
+    # the searches did build caches, so the check above is not vacuous
+    assert {name for obj in objects for name in vars(obj)} >= {"by_source", "effect", "system"}

@@ -11,7 +11,9 @@ holds the prune's trim to a reference built from the whole control graph.
 A digest pins the text of every compiled system, which the goldens pin for
 13 machines only.  The source index that a compile assembles from cached
 pieces is held to the actions grouped from scratch, and a compile from
-cleared caches to one from warm caches.
+cleared caches to one from warm caches, and a second sweep pass to no
+normalising of action bodies at all, since every action it fires comes
+from a cached piece.
 """
 
 import dataclasses
@@ -20,10 +22,11 @@ from collections import Counter
 
 import pytest
 
-from prvass import explorer
+from prvass import explorer, models
 from prvass.check import replay_trace
 from prvass.explorer import BOUNDS_HIT, differential_check
 from prvass.formats import parse_minsky, serialize_prvass
+from prvass.models import Configuration
 from prvass.reduction import compile_machine
 from prvass.relations import ALPHABET
 
@@ -187,3 +190,29 @@ def test_a_cold_compile_equals_a_warm_one(clear_compile_caches):
         assert serialize_prvass(cold.system) == serialize_prvass(hot.system), m
         assert list(cold.bookkeeping.items()) == list(hot.bookkeeping.items()), m
         assert list(cold.system.by_source.items()) == list(hot.system.by_source.items()), m
+        # the cold system's actions are new and carry no effect yet; the warm one's may carry effects built before
+        (got, got_visited), (want, want_visited) = (
+            explorer._bfs(
+                explorer._family(c.system, Configuration(c.start, (), 0), SWEEP_BOUNDS, c.cover_target), SWEEP_BOUNDS
+            )
+            for c in (cold, hot)
+        )
+        assert (got.outcome, got.trace, got.stats[:2]) == (want.outcome, want.trace, want.stats[:2]), m
+        assert list(got_visited.items()) == list(want_visited.items()), m
+
+
+def test_a_second_sweep_pass_normalises_nothing(monkeypatch):
+    # every action a sweep search fires comes from a cached compile piece, which carries its effect
+    for m in small_machines():
+        differential_check(m, SWEEP_BOUNDS, SWEEP_BOUNDS)
+    calls = []
+    effect = models._effect
+
+    def counted(body):
+        calls.append(body)
+        return effect(body)
+
+    monkeypatch.setattr(models, "_effect", counted)
+    for m in small_machines():
+        differential_check(m, SWEEP_BOUNDS, SWEEP_BOUNDS)
+    assert calls == []
