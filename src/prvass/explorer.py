@@ -11,16 +11,16 @@ actions it walked, and drops every action into a state off those paths.
 That relevance prune removes only configurations that can never reach the
 target, so it is not a bound: exhausted_no_cover still means that every
 configuration that could reach the target was enumerated.  When the start
-state has no control path to the target, the trim is empty and the search
-is the start configuration alone: it builds neither stack trie nor tables,
-only a start key, the start state alone, which expands to nothing.  The
-walks and the expansions read the model's by_source, its actions grouped by
-source state, which each model builds once and every search of it shares; a
-compiled system gets it from compile_machine, merged from the groupings of
-its cached pieces, so no search regroups the backward gadgets that every
-compile shares.  A stack-and-counter search fires each action's effect,
-its body normalised by models once per action, which every search of the
-system and every compile that shares the action reads; each search
+state has no control path to the target, or the start is already over a
+stack or counter cap, the search is the start key alone: it builds
+neither stack trie nor tables, only a start key, the start state alone.
+The walks and the expansions read the model's by_source, its actions
+grouped by source state, which each model builds once and every search of
+it shares; a compiled system gets it from compile_machine, merged from the
+groupings of its cached pieces, so no search regroups the backward gadgets
+that every compile shares.  A stack-and-counter search fires each action's
+effect, its body normalised by models once per action, which every search
+of the system and every compile that shares the action reads; each search
 filters the actions by its own trim, binds their pushes to its own stack
 trie, and writes nothing into the model.  Searches are breadth-first
 with a visited set keyed on the full configuration, which makes witnesses
@@ -28,12 +28,10 @@ minimal in action count and results deterministic.  A stack-and-counter
 configuration is keyed by a (state, stack node, counter) triple whose
 stack is hash-consed, and a two-counter configuration by a plain (state,
 counter 0, counter 1) triple; either is decoded back into a Configuration
-or a MinskyConfig only where a caller sees it, and either has its state as
-its first item, which is how a caller reads the state without decoding.
-Each model family hands the search core one Family record, its start key
-and its hooks by name; the core handles keys alone: it records each
-visited key's parent key, and the actions of a witness are recovered only
-once the witness is found.
+or a MinskyConfig only where a caller sees it.  Each model family hands
+the search core one Family record; the core handles keys alone: it
+records each visited key's parent key, and the actions of a witness are
+recovered only once the witness is found.
 """
 
 from __future__ import annotations
@@ -91,6 +89,41 @@ class Verdict(NamedTuple):
     stats: SearchStats
 
 
+class Family(NamedTuple):
+    """The start key and the hooks of one search of one model, read by name.
+
+    start is the start key.  Every key is a flat tuple whose first item is
+    its control state, so a caller reads a key's state as key[0] without
+    decoding it.  expand(key) lists the successor keys in action
+    declaration order, with None for each successor that a stack or
+    counter cap drops.  label(key, succ) is the first action, in
+    declaration order, that takes key to succ.  decode(key) is the
+    configuration a key stands for.  is_target(key) is whether the key is
+    a target of the search, and is never true without a target.
+    """
+
+    start: tuple
+    expand: Callable
+    label: Callable
+    decode: Callable
+    is_target: Callable
+
+
+def _label(table: dict, expand: Callable) -> Callable:
+    """The label hook of a family whose table maps each state to its compiled entries.
+
+    Each entry is a tuple whose first item is its action, and expand(key,
+    entries) fires the given entries in place of the key state's own; the
+    action of the first entry of the key state's, in declaration order,
+    that alone takes key to succ is the label.
+    """
+
+    def label(key, succ):
+        return next(entry[0] for entry in table[key[0]] if expand(key, (entry,)) == [succ])
+
+    return label
+
+
 def _trim(by_source: dict, start: str, target: str) -> set:
     """The states on a control path from start to target.
 
@@ -122,7 +155,7 @@ def _trim(by_source: dict, start: str, target: str) -> set:
     return live
 
 
-def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set, target: str | None):
+def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set, target: str | None) -> Family:
     """The flat search of a stack-and-counter system.
 
     A search key is the triple (state, stack node, counter), a target when
@@ -139,12 +172,9 @@ def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set, targ
     state outside live, or one that no configuration fires, is left out,
     and each pushed symbol is bound to this trie's child dict.  The entries
     go in this search's effects, so no key ever reaches a state outside
-    live and no trie is shared between searches.
-    expand computes each successor's stack height and counter anyway, so it
-    applies the stack and counter caps itself and gives None for a dropped
-    successor.  expand(key, compiled) fires the given compiled effects
-    instead of the key state's own; each entry of effects starts with its
-    action, which is what _family's label relies on.
+    live and no trie is shared between searches.  expand computes each
+    successor's stack height and counter anyway, so it applies the stack
+    and counter caps itself.
     """
     by_source = sys.by_source
     effects: dict = {}
@@ -209,21 +239,18 @@ def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set, targ
             word = words[n] = word + (top[n],)
         return Configuration(state, word, counter)
 
-    return (start.state, node, start.counter), expand, effects, decode, lambda key: key[0] == target
+    return Family((start.state, node, start.counter), expand, _label(effects, expand), decode, lambda key: key[0] == target)
 
 
-def _minsky_family(m: MinskyMachine, start: MinskyConfig, b: Bounds, live: set, target: str | None):
+def _minsky_family(m: MinskyMachine, start: MinskyConfig, b: Bounds, live: set, target: str | None) -> Family:
     """The flat search of a two-counter machine.
 
     A search key is the triple (state, counter 0, counter 1), a target when
     it is (target, 0, 0).  A state's actions, grouped by source in
-    by_source, are compiled into moves the first time the state is
-    expanded, and an action into a state outside live is left out.  A key
-    is within the counter cap whenever it is expanded, so expand checks
-    only the counter that moved and gives None for a successor past the
-    cap.  expand(key, compiled) fires the given compiled moves instead of
-    the key state's own; each entry of moves starts with its action, which
-    is what _family's label relies on.
+    by_source, are compiled into (action, target, counter index, op) moves
+    the first time the state is expanded, and an action into a state
+    outside live is left out.  A key is within the counter cap whenever it
+    is expanded, so expand checks only the counter that moved.
     """
     by_source = m.by_source
     moves: dict = {}
@@ -263,48 +290,30 @@ def _minsky_family(m: MinskyMachine, start: MinskyConfig, b: Bounds, live: set, 
         return MinskyConfig(key[0], key[1:])
 
     goal = (target, 0, 0)
-    return (start.state, *start.counters), expand, moves, decode, lambda key: key == goal
-
-
-class Family(NamedTuple):
-    """The start key and the hooks of one search of one model, read by name."""
-
-    start: tuple
-    expand: Callable
-    label: Callable
-    decode: Callable
-    is_target: Callable
+    return Family((start.state, *start.counters), expand, _label(moves, expand), decode, lambda key: key == goal)
 
 
 def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None = None) -> Family:
-    """The model family's search hooks; the one place the search dispatches on it.
+    """The search of model from start toward target; the one place the search dispatches on the model.
 
-    start is the start key; expand(key) lists the successor keys in action
-    declaration order, with None for each successor that a stack or counter
-    cap drops; label(key, succ) is the first action, in declaration order,
-    that takes key to succ, found by firing the entries of the key state's
-    effects or moves one at a time; decode(key) is the configuration a key
-    stands for; is_target(key) is whether it is in the target state, or for
-    a two-counter machine is (target, 0, 0), and is never true without a
-    target.  Keys of both families are flat tuples whose first item is the
-    state, so a caller reads a key's state as key[0] without decoding it.
-    A start that itself violates a cap cannot be expanded honestly, so it
-    expands to one dropped successor.
-    The actions grouped by source state are the model's by_source, built
-    once per model, so no search regroups them.  When a target is
-    named, _trim keeps the states on a control path from the start state to
-    the target state, and expand leaves out every action into any other
-    state: a search only expands states that the start reaches, and from
-    one of those a configuration off the trim can never reach the target,
-    so dropping it is exact and is not a bound prune.  Without a target
-    every state is kept.  An empty trim builds no family of the model at
-    all, neither trie nor tables: the start key is the start state alone,
-    it expands to nothing (or to the one dropped successor of a start over
-    a cap), is no target, and decodes to start, so the search ends after
-    its first layer with exhausted_no_cover (or bounds_hit) and visited 1.
     This is also the one place that checks the search's inputs belong to the
     model: the start state and the target state, when one is named, must be
-    declared, and every start stack symbol must be in the alphabet.
+    declared, and every start stack symbol must be in the alphabet.  When a
+    target is named, _trim keeps the states on a control path from the
+    start state to the target state, and the family leaves out every action
+    into any other state: a search only expands states that the start
+    reaches, and from one of those a configuration off the trim can never
+    reach the target, so dropping it is exact and is not a bound prune.
+    Without a target every state is kept.  Two starts are searched as the
+    start key alone, the start state, which builds no family of the model,
+    neither trie nor tables, and decodes to start: a start with an empty
+    trim expands to nothing and is no target, so its search ends with
+    exhausted_no_cover and visited 1; a start over a stack or counter cap
+    cannot be expanded honestly, runs no trim, and expands to one dropped
+    successor, so its search ends with bounds_hit and visited 1, unless it
+    is a stack start already in the target state, which covers at once (a
+    two-counter start over the cap has a counter above 0, so it is never
+    (target, 0, 0)).
     """
     for what, state in (("target", target), ("start", start.state)):
         if state is not None and state not in model.states:
@@ -314,22 +323,16 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None 
             for symbol in start.stack:
                 if symbol not in model.stack_alphabet:
                     raise ValueError(f"start stack symbol {symbol!r} not in the stack alphabet")
-        build = _prvass_family
+        build, covers = _prvass_family, start.state == target  # read only over a cap: a start in the target state has a non-empty trim
         over_cap = len(start.stack) > b.max_stack or start.counter > b.max_counter
     else:
-        build = _minsky_family
-        over_cap = max(start.counters) > b.max_counter
-    live = set(model.states) if target is None else _trim(model.by_source, start.state, target)
-    if live:
-        start_key, expand, table, decode, is_target = build(model, start, b, live, target)
-
-        def label(key, succ):
-            return next(entry[0] for entry in table[key[0]] if expand(key, (entry,)) == [succ])
-
-    else:  # the start key alone: it never gains a successor, so label is never asked
-        start_key, expand, label = (start.state,), lambda key: [], lambda key, succ: None
-        decode, is_target = lambda key: start, lambda key: False
-    return Family(start_key, (lambda key: [None]) if over_cap else expand, label, decode, is_target)
+        build, over_cap, covers = _minsky_family, max(start.counters) > b.max_counter, False
+    if not over_cap:
+        live = set(model.states) if target is None else _trim(model.by_source, start.state, target)
+        if live:
+            return build(model, start, b, live, target)
+    dropped = [None] if over_cap else []
+    return Family((start.state,), lambda key: dropped, lambda key, succ: None, lambda key: start, lambda key: covers)
 
 
 def _bfs(family: Family, b: Bounds) -> tuple[Verdict, dict]:

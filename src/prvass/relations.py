@@ -252,7 +252,12 @@ _MAX_SEQUENCE_LENGTH = 4
 
 
 def _checked_sequence(rs, domain_bound: int) -> tuple:
-    """The sequence as a tuple, once it and the rectangle bound are checked."""
+    """The sequence as a tuple, once it and the rectangle bound are checked.
+
+    The checkers build tables of domain_bound + 1 entries, so the bound
+    obeys the growth guard that the ceiling tables obey, and is checked
+    before anything is built.
+    """
     rs = tuple(rs)
     if not rs:
         raise ValueError("sequence must be non-empty")
@@ -260,6 +265,8 @@ def _checked_sequence(rs, domain_bound: int) -> tuple:
         raise ValueError(f"sequence length {len(rs)} exceeds the cap {_MAX_SEQUENCE_LENGTH}")
     if domain_bound < 0:
         raise ValueError(f"domain bound must be non-negative, got {domain_bound}")
+    if domain_bound > _GROWTH_GUARD:
+        raise ValueError(f"domain bound {domain_bound} exceeds the growth guard {_GROWTH_GUARD}")
     return rs
 
 

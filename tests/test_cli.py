@@ -189,6 +189,11 @@ def test_prop1_bad_token_is_usage_error(capsys):
 def test_prop1_negative_domain_exits_three(capsys):
     assert main(["prop1", "m2", "d2", "--domain", "-5"]) == 3
     assert "RESULT" not in capsys.readouterr().out
+    # a bound past the growth guard is refused before any table is built
+    assert main(["prop1", "m2", "d2", "--domain", "10000001"]) == 3
+    captured = capsys.readouterr()
+    assert "RESULT" not in captured.out
+    assert "domain bound 10000001 exceeds the growth guard 10000000" in captured.err
     assert main(["prop1", "m2", "d2", "--domain", "0"]) == 0
 
 

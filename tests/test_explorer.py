@@ -237,9 +237,11 @@ def test_pumping_loop_that_cannot_reach_the_target_is_not_a_bound():
         assert any(cfg.state == "p" for cfg in closure_configs(closure))
 
 
-def test_start_over_a_cap_is_visited_but_never_expanded():
+def test_start_over_a_cap_is_visited_but_never_expanded(no_family_builds, monkeypatch):
     # a start that violates a cap cannot be expanded honestly: the search
-    # visits it alone and may claim neither exhaustion nor completeness
+    # visits it alone, builds no family of the model and trims nothing, and
+    # may claim neither exhaustion nor completeness
+    monkeypatch.setattr(explorer, "_trim", lambda *args: pytest.fail("a start over a cap ran the trim"))
     sys = Prvass(("s", "t"), ("a",), (Action("s", (INC,), "s"), Action("s", (pop("a"),), "t")))
     for start, b in (
         (Configuration("s", ("a",) * 9, 0), Bounds(1000, 8, 100, 1000)),
@@ -257,18 +259,22 @@ def test_start_over_a_cap_is_visited_but_never_expanded():
         assert covered.outcome == COVERED
         assert covered.trace.steps == ()
     machine = MinskyMachine(("s", "t"), (MinskyAction("s", 0, "inc", "t"),), "s", "t")
-    start = MinskyConfig("s", (101, 0))
-    closure = reachable_set(machine, start, Bounds(1000, 64, 100, 1000))
+    start, b = MinskyConfig("s", (101, 0)), Bounds(1000, 64, 100, 1000)
+    closure = reachable_set(machine, start, b)
     assert closure_configs(closure) == (start,)
     assert not closure.complete
+    # a two-counter start over the cap has a counter above 0, so even in the
+    # target state it is not the target (t, 0, 0)
+    verdict, parents = _bfs(_family(machine, MinskyConfig("t", (0, 101)), b, "t"), b)
+    assert verdict.outcome == BOUNDS_HIT and verdict.trace is None and len(parents) == 1
 
 
 @pytest.fixture
 def no_family_builds(monkeypatch):
-    """Make building either model family fail: an empty trim must not build one."""
+    """Make building either model family fail: a search that is its start key alone must not build one."""
 
     def refuse(*args):
-        raise AssertionError("a search with an empty trim built a model family")
+        raise AssertionError("a search that is its start key alone built a model family")
 
     monkeypatch.setattr(explorer, "_prvass_family", refuse)
     monkeypatch.setattr(explorer, "_minsky_family", refuse)

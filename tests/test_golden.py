@@ -13,6 +13,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -56,13 +58,31 @@ def corpus_outputs(workdir: Path) -> dict:
     return outputs
 
 
-def test_corpus_outputs_match_golden(tmp_path):
+def _assert_golden(outputs: dict) -> None:
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    outputs = corpus_outputs(tmp_path)
     for command, expected in golden.items():
         assert sorted(outputs[command]) == sorted(expected), command
         for name, output in expected.items():
             assert outputs[command][name] == output, f"{command} {name}"
+
+
+def test_corpus_outputs_match_golden(tmp_path):
+    _assert_golden(corpus_outputs(tmp_path))
+
+
+def test_corpus_outputs_match_golden_under_a_fixed_hash_seed(tmp_path):
+    # the search keeps sets of states, so the outputs must not depend on the
+    # string hash seed: a fresh interpreter with another seed reproduces them
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONHASHSEED="4242")
+    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+    out = tmp_path / "outputs.json"
+    script = (
+        "import json, sys; from pathlib import Path; from test_golden import corpus_outputs; "
+        "Path(sys.argv[2]).write_text(json.dumps(corpus_outputs(Path(sys.argv[1]))), encoding='utf-8')"
+    )
+    subprocess.run([sys.executable, "-c", script, str(tmp_path), str(out)], env=env, check=True)
+    _assert_golden(json.loads(out.read_text(encoding="utf-8")))
 
 
 if __name__ == "__main__":

@@ -6,6 +6,8 @@ from prvass.relations import (
     CompositionBoundError,
     DeltaSymbol,
     WeakMode,
+    check_monotone_pairs_lemma,
+    check_two_approximations,
     compose_image,
     compose_member,
     godel_decode,
@@ -40,8 +42,23 @@ def test_decode_examples():
         (lambda: weak_member(rel_spec("m2"), "exact", 1, 2), "unknown mode: 'exact'"),
         (lambda: godel_encode(-1, 0), "counters must be non-negative, got (-1, 0)"),
         (lambda: godel_encode(2, -3), "counters must be non-negative, got (2, -3)"),
+        # refused before any table of domain_bound + 1 entries is built
+        (
+            lambda: check_two_approximations([rel_spec("d2")], 10**7 + 1),
+            "domain bound 10000001 exceeds the growth guard 10000000",
+        ),
+        (
+            lambda: check_monotone_pairs_lemma([rel_spec("d2")], 10**7 + 1),
+            "domain bound 10000001 exceeds the growth guard 10000000",
+        ),
     ],
-    ids=["weak-member-mode", "encode-negative-first", "encode-negative-second"],
+    ids=[
+        "weak-member-mode",
+        "encode-negative-first",
+        "encode-negative-second",
+        "identity-domain-over-guard",
+        "lemma-domain-over-guard",
+    ],
 )
 def test_a_bad_argument_is_a_value_error_that_names_it(call, message):
     with pytest.raises(ValueError) as exc:
