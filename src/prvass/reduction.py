@@ -269,6 +269,19 @@ def _tail(target: str, replay: str, cover: str, taken: tuple[str, ...]) -> tuple
     return bookkeeping, _Piece.of(states, actions)
 
 
+@lru_cache(maxsize=256)
+def _contract_bounds(bound: int, height: int):
+    """The explorer.Bounds of a contract search at bound from a start stack of height symbols."""
+    from . import explorer  # see gadget_contract_set
+
+    return explorer.Bounds(
+        max_steps=max(bound * 4, 16),
+        max_stack=height + bound,
+        max_counter=bound,
+        max_visited=max(bound * bound, 1024),
+    )
+
+
 def compile_machine(m: MinskyMachine) -> CompiledSystem:
     """Compile a two-counter machine into a stack system with a cover target.
 
@@ -346,13 +359,7 @@ def gadget_contract_set(
         raise ValueError(f"bound must be at least 1, got {bound}")
     start_stack = (BOTTOM,) + tuple(record) + (MARKER,) + (UNARY,) * m
     start = Configuration(g.entry, start_stack, 0)
-    bounds = explorer.Bounds(
-        max_steps=max(bound * 4, 16),
-        max_stack=len(start_stack) + bound,
-        max_counter=bound,
-        max_visited=max(bound * bound, 1024),
-    )
-    reach = explorer.reachable_set(g.system, start, bounds)
+    reach = explorer.reachable_set(g.system, start, _contract_bounds(bound, len(start_stack)))
     if not reach.complete:
         raise GadgetBoundError(
             f"enumeration from {start} exhausted bound {bound} before closure"

@@ -127,9 +127,9 @@ class CompositionBoundError(ValueError):
 
 
 def compose_member(rs, mode: WeakMode, m: int, n: int, bound: int) -> bool:
-    """Membership of (m, n) in the relational composition of rs, by enumeration.
+    """Membership of (m, n) in the relational composition of rs, over [0, bound].
 
-    Intermediate values are enumerated over [0, bound].  In exact mode the
+    Intermediate values range over [0, bound].  In exact mode the
     composition is a partial function and the fold is checked against the
     bound, raising CompositionBoundError if an exact image escapes it.  For
     the weak modes the bounded search is complete as long as bound covers
@@ -139,7 +139,8 @@ def compose_member(rs, mode: WeakMode, m: int, n: int, bound: int) -> bool:
     the largest exact preimages of the endpoint, so taking bound at least
     prod(factor of r for r in rs) times max(m, n) loses nothing.  The empty
     composition is the identity.  A weak membership is a lookup in
-    compose_image.
+    compose_image, which folds a forward-weak step in one pass and
+    enumerates a backward-weak one.
     """
     if min(m, n, bound) < 0:
         raise ValueError(f"composition membership is over naturals, got ({m}, {n}) with bound {bound}")
@@ -160,22 +161,31 @@ def compose_member(rs, mode: WeakMode, m: int, n: int, bound: int) -> bool:
 
 
 def compose_image(rs, mode: WeakMode, m: int, bound: int) -> set:
-    """The values n with (m, n) in the composition of rs under a weak mode, by enumeration.
+    """The values n with (m, n) in the composition of rs under a weak mode, cut to [0, bound].
 
-    Each relation's image is enumerated over [0, bound], so the set is
-    complete under the same condition on bound as in compose_member.  Build
-    it once to test many n against one m.
+    A forward-weak step takes a set V to every n <= bound with some p in V
+    where r.apply(p) is defined and at least n: the interval [0, min(bound,
+    max of those images)], empty when r is defined on no p in V.  That is
+    one pass over V, for any partial function, monotone or not.  A
+    backward-weak step is enumerated: every n in [0, bound] is tested
+    against every p in V with weak_member.  The set is complete under the
+    same condition on bound as in compose_member.  Build it once to test
+    many n against one m.
     """
     if min(m, bound) < 0:
         raise ValueError(f"composition image is over naturals, got {m} with bound {bound}")
     values = {m}
     for r in rs:
-        nxt = set()
-        for v in range(bound + 1):
-            for p in values:
-                if weak_member(r, mode, p, v):
-                    nxt.add(v)
-                    break
+        if mode is WeakMode.FORWARD_WEAK:
+            top = max((v for p in values if (v := r.apply(p)) is not None), default=-1)
+            nxt = set(range(min(top, bound) + 1))
+        else:
+            nxt = set()
+            for v in range(bound + 1):
+                for p in values:
+                    if weak_member(r, mode, p, v):
+                        nxt.add(v)
+                        break
         values = nxt
         if not values:
             break
@@ -305,8 +315,9 @@ def check_two_approximations(rs, domain_bound: int) -> TwoApproximationsReport:
     forward-weak and the backward-weak compositions.  The comparison is
     exhaustive over the rectangle, not sampled.  The weak sides are
     evaluated through section-ceiling tables (see _ceilings), which the
-    test suite cross-validates against the enumeration in compose_image,
-    also on non-monotone relations.  Row m is in both weak compositions
+    test suite cross-validates, also on non-monotone relations: the
+    forward table against its own pairwise weak_member enumeration, the
+    backward one against compose_image.  Row m is in both weak compositions
     exactly at the n <= fwd[m] with m <= bwd[n], so it holds iff that set
     is {exact[m]}: iff bwd[exact[m]] >= m when exact[m] is in the row, and
     every other bwd[n] with n <= min(fwd[m], domain_bound) is below m.  The

@@ -20,6 +20,7 @@ from prvass.relations import (
     compose_image,
     compose_member,
     rel_spec,
+    weak_member,
 )
 
 from conftest import FiniteRelation
@@ -72,32 +73,58 @@ def test_lemma_violated_by_broken_relation():
     assert n_back <= n and m_back > m
 
 
+def _weak_image_by_enumeration(rs, mode, m, bound):
+    # the pairwise enumeration compose_image ran for both weak modes before
+    # its forward-weak step became one pass: every candidate in [0, bound]
+    # against every intermediate value, one weak_member call each
+    values = {m}
+    for r in rs:
+        values = {v for v in range(bound + 1) if any(weak_member(r, mode, p, v) for p in values)}
+        if not values:
+            break
+    return values
+
+
 def _assert_ceilings_match_enumeration(seq, domain, bound):
+    # the forward table is checked against the test's own enumeration, not
+    # against compose_image's forward step, which is a max formula too;
     # compose_member(seq, mode, m, n, bound) is n in compose_image(seq, mode,
     # m, bound), so each image is built once per m and tested for every n
     fwd = _forward_ceilings(seq, domain)
     bwd = _backward_ceilings(seq, domain)
     for m in range(domain + 1):
-        forward = compose_image(seq, WeakMode.FORWARD_WEAK, m, bound)
+        forward = _weak_image_by_enumeration(seq, WeakMode.FORWARD_WEAK, m, bound)
         backward = compose_image(seq, WeakMode.BACKWARD_WEAK, m, bound)
         for n in range(domain + 1):
             assert (n <= fwd[m]) == (n in forward)
             assert (m <= bwd[n]) == (n in backward)
 
 
-def test_ceiling_tables_match_enumeration():
-    # the section-ceiling fast path must agree with compose_member's dumb
-    # enumeration; exhaustive for every sequence of length <= 2 on a small
-    # rectangle, and on arbitrary finite relations, whose values stay in
-    # [0, 12] so a bound of 13 enumerates every intermediate
-    domain = 8
-    bound = 9 * (domain + 1)
+# (sequences, domain, bound) of the ceiling cross-checks: every sequence of
+# length <= 2 on a small rectangle, every 18th of the 216 of length 3, and
+# arbitrary finite relations, whose values stay in [0, 12] so a bound of 13
+# enumerates every intermediate
+
+
+def _short_sequences():
     specs = [rel_spec(sym) for sym in ALPHABET]
-    for length in (1, 2):
-        for seq in itertools.product(specs, repeat=length):
+    return [seq for length in (1, 2) for seq in itertools.product(specs, repeat=length)], 8, 9 * 9
+
+
+def _length_three_spot():
+    specs = [rel_spec(sym) for sym in ALPHABET]
+    return list(itertools.product(specs, repeat=3))[::18], 6, 27 * 7
+
+
+def _random_finite():
+    return _random_finite_sequences(300, seed=20190), 13, 13
+
+
+def test_ceiling_tables_match_enumeration():
+    # the section-ceiling fast path must agree with the enumeration
+    for seqs, domain, bound in (_short_sequences(), _random_finite()):
+        for seq in seqs:
             _assert_ceilings_match_enumeration(seq, domain, bound)
-    for seq in _random_finite_sequences(300, seed=20190):
-        _assert_ceilings_match_enumeration(seq, 13, 13)
 
 
 def test_growth_guard_names_its_direction(monkeypatch, capsys):
@@ -112,18 +139,51 @@ def test_growth_guard_names_its_direction(monkeypatch, capsys):
 
 
 def test_ceiling_tables_match_enumeration_length_three_spot():
-    domain = 6
-    bound = 27 * (domain + 1)
-    specs = [rel_spec(sym) for sym in ALPHABET]
-    picked = list(itertools.product(specs, repeat=3))[::18]  # every 18th of 216
-    for seq in picked:
+    seqs, domain, bound = _length_three_spot()
+    for seq in seqs:
         _assert_ceilings_match_enumeration(seq, domain, bound)
+
+
+def test_forward_weak_image_is_the_enumeration_without_weak_member(monkeypatch):
+    # the forward-weak step is one pass over the intermediate values, with no
+    # weak_member call; the backward-weak step still enumerates. Cases: the
+    # ceiling cross-checks' sets, entry values above the bound, and bound 0
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return weak_member(*args)
+
+    monkeypatch.setattr(relations, "weak_member", counting)
+
+    def cases(*groups):
+        return [(seq, m, bound) for seqs, domain, bound in groups for seq in seqs for m in range(domain + 1)]
+
+    primitives = _short_sequences()[0]
+    edges = [(seq, m, 10) for seq in primitives for m in (11, 24, 36, 54)]
+    edges += [(seq, m, 0) for seq in primitives for m in range(4)]
+    edges += [(seq, m, 0) for seq in _random_finite()[0] for m in range(3)]
+    empty = 0
+    for seq, m, bound in cases(_short_sequences(), _length_three_spot(), _random_finite()) + edges:
+        want = _weak_image_by_enumeration(seq, WeakMode.FORWARD_WEAK, m, bound)
+        assert compose_image(seq, WeakMode.FORWARD_WEAK, m, bound) == want, (seq, m, bound)
+        empty += not want
+    assert calls == 0
+    # undefined points and empty images are covered, not only intervals
+    assert empty > 100
+    # the length-3 spot set's backward images are checked against the
+    # backward ceilings by their own test; here they would triple its time
+    for seq, m, bound in cases(_short_sequences(), _random_finite()) + edges:
+        want = _weak_image_by_enumeration(seq, WeakMode.BACKWARD_WEAK, m, bound)
+        assert compose_image(seq, WeakMode.BACKWARD_WEAK, m, bound) == want, (seq, m, bound)
+    assert calls > 0
 
 
 def test_identity_through_the_enumeration_route():
     # the same comparison check_two_approximations performs, but routed
-    # entirely through the enumeration (compose_member, and compose_image
-    # for the weak modes) on a tiny rectangle
+    # through compose_member, and compose_image for the weak modes, instead
+    # of the ceiling tables, on a tiny rectangle
     for tokens in (("m2",), ("d3",), ("m2", "d2"), ("t2", "m3")):
         seq = [rel_spec(t) for t in tokens]
         bound = 9 ** len(seq) * 9
