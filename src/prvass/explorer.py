@@ -14,7 +14,7 @@ configuration that could reach the target was enumerated.  When the start
 state has no control path to the target, or the start is already over a
 stack or counter cap, the search is the start key alone: it builds
 neither stack trie nor tables, only a start key, the start state alone.
-The walks and the expansions read the model's by_source, its actions
+The walks and the layer steps read the model's by_source, its actions
 grouped by source state, which each model builds once and every search of
 it shares; a compiled system gets it from compile_machine, merged from the
 groupings of its cached pieces, so no search regroups the backward gadgets
@@ -29,9 +29,11 @@ configuration is keyed by a (state, stack node, counter) triple whose
 stack is hash-consed, and a two-counter configuration by a plain (state,
 counter 0, counter 1) triple; either is decoded back into a Configuration
 or a MinskyConfig only where a caller sees it.  Each model family hands
-the search core one Family record; the core handles keys alone: it
-records each visited key's parent key, and the actions of a witness are
-recovered only once the witness is found.
+the search core one Family record, whose step fires a whole BFS layer in
+one call, caps, dedup and target test included, so the core makes one
+call per layer, not one per key.  The core handles keys alone: the
+visited dict records each key's parent key, and the actions of a witness
+are recovered only once the witness is found.
 """
 
 from __future__ import annotations
@@ -94,32 +96,39 @@ class Family(NamedTuple):
 
     start is the start key.  Every key is a flat tuple whose first item is
     its control state, so a caller reads a key's state as key[0] without
-    decoding it.  expand(key) lists the successor keys in action
-    declaration order, with None for each successor that a stack or
-    counter cap drops.  label(key, succ) is the first action, in
-    declaration order, that takes key to succ.  decode(key) is the
-    configuration a key stands for.  is_target(key) is whether the key is
-    a target of the search, and is never true without a target.
+    decoding it.  step(layer, parents, room) fires every key of one BFS
+    layer, in layer order, and each key's successors in action declaration
+    order: a successor that a stack or counter cap drops, or a new one met
+    when parents already holds room keys, is dropped; one already in
+    parents is skipped; any other is entered in parents with its key as
+    parent, and appended to the next layer.  It returns (next layer,
+    whether any successor was dropped, the first new target key or None);
+    the layer is always finished, so parents holds every key of the next
+    layer, whether or not it has a target.  label(key, succ) is the first
+    action, in declaration order, that takes key to succ.  decode(key) is
+    the configuration a key stands for.  is_target(key) is whether the key
+    is a target of the search, and is never true without a target.
     """
 
     start: tuple
-    expand: Callable
+    step: Callable
     label: Callable
     decode: Callable
     is_target: Callable
 
 
-def _label(table: dict, expand: Callable) -> Callable:
+def _label(table: dict, step: Callable) -> Callable:
     """The label hook of a family whose table maps each state to its compiled entries.
 
-    Each entry is a tuple whose first item is its action, and expand(key,
-    entries) fires the given entries in place of the key state's own; the
-    action of the first entry of the key state's, in declaration order,
-    that alone takes key to succ is the label.
+    Each entry is a tuple whose first item is its action, and step(layer,
+    parents, room, table) fires the layer through the given table in place
+    of the family's own; the action of the first entry of the key state's,
+    in declaration order, that alone takes key to succ is the label.
     """
 
     def label(key, succ):
-        return next(entry[0] for entry in table[key[0]] if expand(key, (entry,)) == [succ])
+        state = key[0]
+        return next(entry[0] for entry in table[state] if step([key], {}, 1, {state: (entry,)})[0] == [succ])
 
     return label
 
@@ -166,17 +175,19 @@ def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set, targ
     chain, laid in one pass: node i + 1 is the start's i-th symbol pushed
     on node i, and each of those links is registered like any push, so a
     later push onto a prefix of the start finds the start's own node.
-    The first time a state is expanded, its actions, grouped by source in
+    The first time a key of a state is fired, its actions, grouped by source in
     by_source, are compiled into (action, target, pops, pushes, need,
     reset, delta) entries from each action's effect: an action into a
     state outside live, or one that no configuration fires, is left out,
     and each pushed symbol is bound to this trie's child dict.  The entries
     go in this search's effects, so no key ever reaches a state outside
-    live and no trie is shared between searches.  expand computes each
+    live and no trie is shared between searches.  step computes each
     successor's stack height and counter anyway, so it applies the stack
-    and counter caps itself.
+    and counter caps itself, and it tests a successor for the target only
+    once the successor is new.
     """
     by_source = sys.by_source
+    goal = target
     effects: dict = {}
     stack = start.stack
     node = len(stack)
@@ -206,25 +217,42 @@ def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set, targ
 
     max_stack, max_counter = b.max_stack, b.max_counter
 
-    def expand(key, compiled=None):
-        state, node, counter = key
-        if compiled is None:
-            compiled = effects[state] if state in effects else compile_state(state)
-        out = []
-        for _, target, pops, pushes, need, reset, delta in compiled:
-            if counter < need:
-                continue
-            n = node
-            for symbol in pops:
-                if top[n] != symbol:
-                    break
-                n = parent[n]
-            else:
-                for symbol, kids in pushes:
-                    n = kids.get(n) or grow(n, symbol, kids)
-                c = delta if reset else counter + delta
-                out.append((target, n, c) if height[n] <= max_stack and c <= max_counter else None)
-        return out
+    def step(layer, parents, room, table=effects):
+        next_layer = []
+        append = next_layer.append
+        dropped = False
+        hit = None
+        for key in layer:
+            state, node, counter = key
+            compiled = table.get(state)
+            if compiled is None:
+                compiled = compile_state(state)
+            for _, target, pops, pushes, need, reset, delta in compiled:
+                if counter < need:
+                    continue
+                n = node
+                for symbol in pops:
+                    if top[n] != symbol:
+                        break
+                    n = parent[n]
+                else:
+                    for symbol, kids in pushes:
+                        n = kids.get(n) or grow(n, symbol, kids)
+                    c = delta if reset else counter + delta
+                    if height[n] > max_stack or c > max_counter:
+                        dropped = True
+                        continue
+                    succ = (target, n, c)
+                    if succ in parents:
+                        continue
+                    if len(parents) >= room:
+                        dropped = True
+                        continue
+                    parents[succ] = key
+                    append(succ)
+                    if target == goal and hit is None:
+                        hit = succ
+        return next_layer, dropped, hit
 
     words: dict = {0: ()}
 
@@ -239,7 +267,7 @@ def _prvass_family(sys: Prvass, start: Configuration, b: Bounds, live: set, targ
             word = words[n] = word + (top[n],)
         return Configuration(state, word, counter)
 
-    return Family((start.state, node, start.counter), expand, _label(effects, expand), decode, lambda key: key[0] == target)
+    return Family((start.state, node, start.counter), step, _label(effects, step), decode, lambda key: key[0] == goal)
 
 
 def _minsky_family(m: MinskyMachine, start: MinskyConfig, b: Bounds, live: set, target: str | None) -> Family:
@@ -248,9 +276,9 @@ def _minsky_family(m: MinskyMachine, start: MinskyConfig, b: Bounds, live: set, 
     A search key is the triple (state, counter 0, counter 1), a target when
     it is (target, 0, 0).  A state's actions, grouped by source in
     by_source, are compiled into (action, target, counter index, op) moves
-    the first time the state is expanded, and an action into a state
+    the first time a key of the state is fired, and an action into a state
     outside live is left out.  A key is within the counter cap whenever it
-    is expanded, so expand checks only the counter that moved.
+    is fired, so step checks the cap only on an increment.
     """
     by_source = m.by_source
     moves: dict = {}
@@ -264,33 +292,47 @@ def _minsky_family(m: MinskyMachine, start: MinskyConfig, b: Bounds, live: set, 
         return compiled
 
     cap = b.max_counter
+    goal = (target, 0, 0)
 
-    def expand(key, compiled=None):
-        state, c0, c1 = key
-        if compiled is None:
-            compiled = moves[state] if state in moves else compile_state(state)
-        out = []
-        for _, target, index, op in compiled:
-            value = c1 if index else c0
-            if op == "inc":
-                value += 1
-            elif op == "dec":
-                if not value:
+    def step(layer, parents, room, table=moves):
+        next_layer = []
+        append = next_layer.append
+        dropped = False
+        hit = None
+        for key in layer:
+            state, c0, c1 = key
+            compiled = table.get(state)
+            if compiled is None:
+                compiled = compile_state(state)
+            for _, target, index, op in compiled:
+                value = c1 if index else c0
+                if op == "inc":
+                    value += 1
+                    if value > cap:
+                        dropped = True
+                        continue
+                elif op == "dec":
+                    if not value:
+                        continue
+                    value -= 1
+                elif value:
                     continue
-                value -= 1
-            elif value:
-                continue
-            if value > cap:
-                out.append(None)
-            else:
-                out.append((target, c0, value) if index else (target, value, c1))
-        return out
+                succ = (target, c0, value) if index else (target, value, c1)
+                if succ in parents:
+                    continue
+                if len(parents) >= room:
+                    dropped = True
+                    continue
+                parents[succ] = key
+                append(succ)
+                if succ == goal and hit is None:
+                    hit = succ
+        return next_layer, dropped, hit
 
     def decode(key):
         return MinskyConfig(key[0], key[1:])
 
-    goal = (target, 0, 0)
-    return Family((start.state, *start.counters), expand, _label(moves, expand), decode, lambda key: key == goal)
+    return Family((start.state, *start.counters), step, _label(moves, step), decode, lambda key: key == goal)
 
 
 def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None = None) -> Family:
@@ -301,16 +343,16 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None 
     declared, and every start stack symbol must be in the alphabet.  When a
     target is named, _trim keeps the states on a control path from the
     start state to the target state, and the family leaves out every action
-    into any other state: a search only expands states that the start
+    into any other state: a search only fires states that the start
     reaches, and from one of those a configuration off the trim can never
     reach the target, so dropping it is exact and is not a bound prune.
     Without a target every state is kept.  Two starts are searched as the
     start key alone, the start state, which builds no family of the model,
     neither trie nor tables, and decodes to start: a start with an empty
-    trim expands to nothing and is no target, so its search ends with
+    trim steps to an empty layer and is no target, so its search ends with
     exhausted_no_cover and visited 1; a start over a stack or counter cap
-    cannot be expanded honestly, runs no trim, and expands to one dropped
-    successor, so its search ends with bounds_hit and visited 1, unless it
+    cannot be fired honestly, runs no trim, and steps to an empty layer with
+    a drop, so its search ends with bounds_hit and visited 1, unless it
     is a stack start already in the target state, which covers at once (a
     two-counter start over the cap has a counter above 0, so it is never
     (target, 0, 0)).
@@ -331,55 +373,48 @@ def _family(model: Prvass | MinskyMachine, start, b: Bounds, target: str | None 
         live = set(model.states) if target is None else _trim(model.by_source, start.state, target)
         if live:
             return build(model, start, b, live, target)
-    dropped = [None] if over_cap else []
-    return Family((start.state,), lambda key: dropped, lambda key, succ: None, lambda key: start, lambda key: covers)
+    empty = ([], over_cap, None)
+    return Family((start.state,), lambda layer, parents, room: empty, lambda key, succ: None, lambda key: start, lambda key: covers)
 
 
 def _bfs(family: Family, b: Bounds) -> tuple[Verdict, dict]:
     """Layered breadth-first search over a _family's keys; returns the verdict and the visited dict.
 
-    The visited dict maps each visited key to its parent key (None for the
-    start), in the order the keys were dequeued, the layer at the depth cap
-    included.  Only the witness is decoded, and label names its actions.  A
-    None from expand is a successor that a cap dropped.  The layer at depth
-    max_steps leaves no room in the visited dict, so each of its new
-    successors is dropped as one past the visited budget would be.
+    The start is tested once with is_target, then step fires one whole
+    layer per call, until a layer holds a target or is empty.  The visited
+    dict maps each visited key to its parent key (None for the start), in
+    the order the keys were dequeued, the layer at the depth cap included,
+    and a search that covers has entered its whole last layer.  Only the
+    witness is decoded, and label names its actions.  The layer at depth
+    max_steps is stepped with no room in the visited dict, so each of its
+    new successors is dropped as one past the visited budget would be.
     """
-    start, expand, is_target = family.start, family.expand, family.is_target
+    start, step = family.start, family.step
     max_visited, max_steps = b.max_visited, b.max_steps
     t0 = time.perf_counter()
     parents: dict = {start: None}
     layer = [start]
+    hit = start if family.is_target(start) else None
     pruned = False
     frontier_peak = 1
     depth = 0
-    while layer:
-        for key in layer:
-            if is_target(key):
-                steps = []
-                while (prev := parents[key]) is not None:
-                    steps.append((family.label(prev, key), family.decode(key)))
-                    key = prev
-                steps.reverse()
-                stats = SearchStats(len(parents), frontier_peak, time.perf_counter() - t0)
-                return Verdict(COVERED, Trace(family.decode(start), tuple(steps)), stats), parents
-        room = max_visited if depth < max_steps else 0
-        next_layer = []
-        for key in layer:
-            for succ in expand(key):
-                if succ in parents:
-                    continue
-                if succ is None or len(parents) >= room:
-                    pruned = True
-                    continue
-                parents[succ] = key
-                next_layer.append(succ)
+    while hit is None and layer:
+        layer, dropped, hit = step(layer, parents, max_visited if depth < max_steps else 0)
+        pruned = pruned or dropped
         depth += 1
-        if len(next_layer) > frontier_peak:
-            frontier_peak = len(next_layer)
-        layer = next_layer
+        if len(layer) > frontier_peak:
+            frontier_peak = len(layer)
+    trace = None
+    if hit is not None:
+        steps = []
+        key = hit
+        while (prev := parents[key]) is not None:
+            steps.append((family.label(prev, key), family.decode(key)))
+            key = prev
+        trace = Trace(family.decode(start), tuple(reversed(steps)))
+    outcome = COVERED if hit is not None else BOUNDS_HIT if pruned else EXHAUSTED_NO_COVER
     stats = SearchStats(len(parents), frontier_peak, time.perf_counter() - t0)
-    return Verdict(BOUNDS_HIT if pruned else EXHAUSTED_NO_COVER, None, stats), parents
+    return Verdict(outcome, trace, stats), parents
 
 
 def bounded_cover(sys: Prvass, start: Configuration, target: str, b: Bounds) -> Verdict:

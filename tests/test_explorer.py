@@ -429,9 +429,10 @@ def test_hash_consing_holds_from_a_non_empty_start_stack():
 
 def test_flat_effects_match_the_reference_semantics():
     # every body of up to 4 instructions, fired from every stack of height
-    # <= 3 over {a, b} and every counter 0-3: the flat expander's decoded
-    # successors are models.successors, in the same order and multiplicity,
-    # and label names the first action that yields each of them
+    # <= 3 over {a, b} and every counter 0-3: the decoded successors of one
+    # step from the start are models.successors, in the same order, each
+    # repeat left out after its first occurrence (step dedups), nothing is
+    # dropped, and label names the first action that yields each of them
     instructions = (push("a"), push("b"), pop("a"), pop("b"), INC, DEC, RESET)
     bodies = [body for n in range(5) for body in itertools.product(instructions, repeat=n)]
     sys = Prvass(("s", "t"), ("a", "b"), tuple(Action("s", body, "t") for body in bodies))
@@ -440,23 +441,25 @@ def test_flat_effects_match_the_reference_semantics():
             for counter in range(4):
                 start = Configuration("s", stack, counter)
                 family = _family(sys, start, GENEROUS)
-                start_key, expand, label, decode = family.start, family.expand, family.label, family.decode
-                keys = expand(start_key)
+                start_key, step, label, decode = family.start, family.step, family.label, family.decode
+                keys, dropped, hit = step([start_key], {}, GENEROUS.max_visited)
                 reference = successors(sys, start)
-                assert [decode(key) for key in keys] == [cfg for _, cfg in reference], start
-                assert [key[0] for key in keys] == [cfg.state for _, cfg in reference], start
                 first: dict = {}
                 for action, cfg in reference:
                     first.setdefault(cfg, action)
-                for key in dict.fromkeys(keys):
+                assert [decode(key) for key in keys] == list(first), start
+                assert [key[0] for key in keys] == [cfg.state for cfg in first], start
+                assert (dropped, hit) == (False, None), start
+                for key in keys:
                     assert label(start_key, key) == first[decode(key)], (start, decode(key))
 
 
 def test_flat_two_counter_keys_match_the_reference_semantics():
     # every one-action and two-action machine over {s, t}, fired from every
-    # counter pair 0-3 under a counter cap of 2: the flat expander's decoded
-    # successors are models.minsky_successors, in the same order and
-    # multiplicity, with None exactly where the reference passes the cap,
+    # counter pair 0-3 under a counter cap of 2: the decoded successors of
+    # one step from the start are models.minsky_successors within the cap,
+    # in the same order, each repeat left out after its first occurrence,
+    # the step drops a successor exactly when the reference passes the cap,
     # and label names the first declared action that yields each of them
     capped = Bounds(GENEROUS.max_steps, GENEROUS.max_stack, 2, GENEROUS.max_visited)
     actions = [MinskyAction(*a) for a in itertools.product("st", (0, 1), ("inc", "dec", "zero"), "st")]
@@ -466,25 +469,117 @@ def test_flat_two_counter_keys_match_the_reference_semantics():
         for counters in itertools.product(range(4), repeat=2):
             start = MinskyConfig("s", counters)
             family = _family(m, start, capped)
-            start_key, expand, label, decode = family.start, family.expand, family.label, family.decode
+            start_key, step, label, decode = family.start, family.step, family.label, family.decode
             assert decode(start_key) == start and start_key[0] == "s"
-            keys = expand(start_key)
+            keys, dropped, hit = step([start_key], {}, capped.max_visited)
+            assert hit is None, (body, start)
             if max(counters) > 2:
-                assert keys == [None], (body, start)
+                assert (keys, dropped) == ([], True), (body, start)
                 continue
             reference = minsky_successors(m, start)
-            assert [key and decode(key) for key in keys] == [
-                None if max(cfg.counters) > 2 else cfg for _, cfg in reference
-            ], (body, start)
-            assert [key[0] for key in keys if key] == [
-                cfg.state for _, cfg in reference if max(cfg.counters) <= 2
-            ], (body, start)
             first: dict = {}
             for action, cfg in reference:
-                first.setdefault(cfg, action)
-            for key in dict.fromkeys(keys):
-                if key is not None:
-                    assert label(start_key, key) is first[decode(key)], (body, start, decode(key))
+                if max(cfg.counters) <= 2:
+                    first.setdefault(cfg, action)
+            assert [decode(key) for key in keys] == list(first), (body, start)
+            assert [key[0] for key in keys] == [cfg.state for cfg in first], (body, start)
+            assert dropped == any(max(cfg.counters) > 2 for _, cfg in reference), (body, start)
+            for key in keys:
+                assert label(start_key, key) is first[decode(key)], (body, start, decode(key))
+
+
+def _reference_search(successors_of, start, is_target, max_steps):
+    """A layered BFS whose target test runs at dequeue: (witness steps or None, visited, frontier peak)."""
+    parents, layer, depth, peak = {start: None}, [start], 0, 1
+    while layer:
+        for cfg in layer:
+            if is_target(cfg):
+                steps = []
+                while parents[cfg] is not None:
+                    action, prev = parents[cfg]
+                    steps.append((action, cfg))
+                    cfg = prev
+                return tuple(reversed(steps)), len(parents), peak
+        if depth == max_steps:
+            break
+        next_layer = []
+        for cfg in layer:
+            for action, succ in successors_of(cfg):
+                if succ not in parents:
+                    parents[succ] = (action, cfg)
+                    next_layer.append(succ)
+        depth += 1
+        peak = max(peak, len(next_layer))
+        layer = next_layer
+    return None, len(parents), peak
+
+
+def test_the_first_target_of_a_layer_wins():
+    # two targets enter layer 2 from different parents, (t, x, 1) from a
+    # before (t, y, 0) from b, between keys that are no target; the
+    # witness runs through the first, the whole layer is visited, and at
+    # max_steps 2 that layer is the one at the depth cap
+    sys = Prvass(
+        ("s", "a", "b", "t"),
+        ("x", "y"),
+        (
+            Action("s", (push("x"),), "a"),
+            Action("s", (push("y"),), "b"),
+            Action("a", (push("x"),), "a"),
+            Action("a", (INC,), "t"),
+            Action("b", (), "t"),
+            Action("b", (push("y"),), "b"),
+        ),
+    )
+    start = Configuration("s", (), 0)
+    # the two-counter target (t, 0, 0) is one key: it enters layer 2 from a
+    # and again from b, between keys that are no target, and keeps a as parent
+    m = MinskyMachine(
+        ("s", "a", "b", "t"),
+        (
+            MinskyAction("s", 0, "inc", "a"),
+            MinskyAction("s", 1, "inc", "b"),
+            MinskyAction("a", 1, "inc", "a"),
+            MinskyAction("a", 0, "dec", "t"),
+            MinskyAction("b", 1, "dec", "t"),
+            MinskyAction("b", 0, "inc", "b"),
+        ),
+        "s",
+        "t",
+    )
+    for max_steps in (1, 2, 3):
+        b = Bounds(max_steps, 64, 100, 1000)
+        for verdict, want, initial in (
+            (
+                bounded_cover(sys, start, "t", b),
+                _reference_search(lambda cfg: successors(sys, cfg), start, lambda cfg: cfg.state == "t", max_steps),
+                start,
+            ),
+            (
+                minsky_bounded_reach(m, b),
+                _reference_search(
+                    lambda cfg: minsky_successors(m, cfg),
+                    MinskyConfig("s", (0, 0)),
+                    lambda cfg: cfg == MinskyConfig("t", (0, 0)),
+                    max_steps,
+                ),
+                MinskyConfig("s", (0, 0)),
+            ),
+        ):
+            steps, visited, frontier_peak = want
+            assert (verdict.stats.visited, verdict.stats.frontier_peak) == (visited, frontier_peak), max_steps
+            if steps is None:
+                assert (verdict.outcome, verdict.trace) == (BOUNDS_HIT, None), max_steps
+            else:
+                assert verdict.outcome == COVERED, max_steps
+                assert verdict.trace.start == initial and verdict.trace.steps == steps, max_steps
+    # the stack witness runs through a, the two-counter one through a too
+    covered = bounded_cover(sys, start, "t", Bounds(2, 64, 100, 1000))
+    assert [action.source for action, _ in covered.trace.steps] == ["s", "a"]
+    assert (covered.stats.visited, covered.stats.frontier_peak) == (7, 4)
+    reached = minsky_bounded_reach(m, Bounds(2, 64, 100, 1000))
+    assert [action.source for action, _ in reached.trace.steps] == ["s", "a"]
+    assert (reached.stats.visited, reached.stats.frontier_peak) == (6, 3)
 
 
 def _reference_closure(sys, start, b):
@@ -535,21 +630,21 @@ def _searched_sides(m, b):
 def _check_visited_dict(model, start, b, target=None):
     """Run _bfs and check its visited dict; returns the verdict, the dict and the family."""
     family = _family(model, start, b, target)
-    start_key, expand = family.start, family.expand
     verdict, parents = _bfs(family, b)
     order = {key: i for i, key in enumerate(parents)}
-    assert order[start_key] == 0 and parents[start_key] is None
+    assert order[family.start] == 0 and parents[family.start] is None
     assert all(order[parent] < i for i, parent in enumerate(parents.values()) if i)
     assert len(parents) == verdict.stats.visited
     if verdict.outcome == EXHAUSTED_NO_COVER:
-        assert all(succ in parents for key in parents for succ in expand(key))
+        # one step over every visited key meets no new key and drops nothing
+        assert family.step(list(parents), dict(parents), b.max_visited) == ([], False, None)
     return verdict, parents, family
 
 
 def test_visited_dict_on_the_corpus_and_the_sweep():
     # both sides of every corpus machine, and of every sweep machine whose
     # two-counter side exhausts; exhaustion means the dict is closed under
-    # expand, which is what a no-cover certificate rests on
+    # step, which is what a no-cover certificate rests on
     for name in (*CORPUS_EXPECTED, "big-counter"):
         for side in _searched_sides(load_machine(name), GENEROUS):
             _check_visited_dict(*side)
